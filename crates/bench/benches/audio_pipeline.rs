@@ -1,68 +1,42 @@
 //! F3 + T1: the sound pipeline — performance extraction, piano-roll
 //! rasterization, synthesis, and the two §4.1 codecs.
 
-use std::time::Duration;
-
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use mdm_bench::harness::measure;
 use mdm_bench::workload::generated_score;
 use mdm_notation::perform;
 use mdm_sound::{codec, render_performance, PianoRoll, Timbre};
-use std::hint::black_box;
 
-fn bench_pianoroll(c: &mut Criterion) {
-    let mut g = c.benchmark_group("f3_pianoroll");
-    g.sample_size(20).measurement_time(Duration::from_secs(1));
-    for &len in &[50usize, 200, 800] {
+fn main() {
+    for len in [50usize, 200, 800] {
         let score = generated_score(9, 3, len);
         let notes = perform(&score.movements[0]);
-        g.throughput(Throughput::Elements(notes.len() as u64));
-        g.bench_with_input(
-            BenchmarkId::new("render", notes.len()),
-            &notes,
-            |b, notes| {
-                b.iter(|| black_box(PianoRoll::render(notes, 0.25, &|_, _| false)));
-            },
-        );
-    }
-    g.finish();
-}
-
-fn bench_synth(c: &mut Criterion) {
-    let mut g = c.benchmark_group("t1_synthesis");
-    g.sample_size(10).measurement_time(Duration::from_secs(2));
-    let score = generated_score(5, 2, 40);
-    let notes = perform(&score.movements[0]);
-    for &rate in &[8_000u32, 48_000] {
-        g.bench_with_input(BenchmarkId::new("render_hz", rate), &rate, |b, &rate| {
-            b.iter(|| black_box(render_performance(&notes, &Timbre::organ(), rate)));
+        measure(&format!("f3_pianoroll/render/{}", notes.len()), || {
+            PianoRoll::render(&notes, 0.25, &|_, _| false)
         });
     }
-    g.finish();
-}
 
-fn bench_codecs(c: &mut Criterion) {
-    let mut g = c.benchmark_group("t1_codecs");
-    g.sample_size(10).measurement_time(Duration::from_secs(2));
+    let score = generated_score(5, 2, 40);
+    let notes = perform(&score.movements[0]);
+    for rate in [8_000u32, 48_000] {
+        measure(&format!("t1_synthesis/render_hz/{rate}"), || {
+            render_performance(&notes, &Timbre::organ(), rate)
+        });
+    }
+
     let score = generated_score(5, 2, 30);
     let notes = perform(&score.movements[0]);
     let pcm = render_performance(&notes, &Timbre::organ(), 48_000);
-    g.throughput(Throughput::Bytes(pcm.byte_size() as u64));
-    g.bench_function("redundancy_encode", |b| {
-        b.iter(|| black_box(codec::redundancy::encode(&pcm)));
-    });
+    let at = |name: &str| format!("t1_codecs/{name} ({} B)", pcm.byte_size());
+    measure(&at("redundancy_encode"), || codec::redundancy::encode(&pcm));
     let enc = codec::redundancy::encode(&pcm);
-    g.bench_function("redundancy_decode", |b| {
-        b.iter(|| black_box(codec::redundancy::decode(&enc).expect("decode")));
+    measure(&at("redundancy_decode"), || {
+        codec::redundancy::decode(&enc).expect("decode")
     });
-    g.bench_function("perceptual_encode_8bit", |b| {
-        b.iter(|| black_box(codec::perceptual::encode(&pcm, 8)));
+    measure(&at("perceptual_encode_8bit"), || {
+        codec::perceptual::encode(&pcm, 8)
     });
     let enc8 = codec::perceptual::encode(&pcm, 8);
-    g.bench_function("perceptual_decode_8bit", |b| {
-        b.iter(|| black_box(codec::perceptual::decode(&enc8).expect("decode")));
+    measure(&at("perceptual_decode_8bit"), || {
+        codec::perceptual::decode(&enc8).expect("decode")
     });
-    g.finish();
 }
-
-criterion_group!(benches, bench_pianoroll, bench_synth, bench_codecs);
-criterion_main!(benches);

@@ -1,52 +1,27 @@
 //! F4: DARMS parse → canonize → emit → resolve-to-voice throughput.
 
-use std::time::Duration;
-
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use mdm_bench::harness::measure;
 use mdm_bench::workload::generated_darms;
-use std::hint::black_box;
 
-fn bench_darms(c: &mut Criterion) {
-    let mut g = c.benchmark_group("f4_darms");
-    g.sample_size(20).measurement_time(Duration::from_secs(1));
-    for &measures in &[16usize, 128, 512] {
+fn main() {
+    for measures in [16usize, 128, 512] {
         let text = generated_darms(42, measures);
-        g.throughput(Throughput::Bytes(text.len() as u64));
-        g.bench_with_input(BenchmarkId::new("parse", measures), &text, |b, text| {
-            b.iter(|| black_box(mdm_darms::parse(text).expect("parse")));
-        });
+        let at = |stage: &str| format!("f4_darms/{stage}/{measures} ({} B)", text.len());
+        measure(&at("parse"), || mdm_darms::parse(&text).expect("parse"));
         let items = mdm_darms::parse(&text).expect("parse");
-        g.bench_with_input(
-            BenchmarkId::new("canonize", measures),
-            &items,
-            |b, items| {
-                b.iter(|| black_box(mdm_darms::canonize(items)));
-            },
-        );
+        measure(&at("canonize"), || mdm_darms::canonize(&items));
         let canon = mdm_darms::canonize(&items);
-        g.bench_with_input(BenchmarkId::new("emit", measures), &canon, |b, canon| {
-            b.iter(|| black_box(mdm_darms::emit(canon)));
+        measure(&at("emit"), || mdm_darms::emit(&canon));
+        measure(&at("to_voice"), || {
+            mdm_darms::to_voice(&canon).expect("voice")
         });
-        g.bench_with_input(
-            BenchmarkId::new("to_voice", measures),
-            &canon,
-            |b, canon| {
-                b.iter(|| black_box(mdm_darms::to_voice(canon).expect("voice")));
-            },
-        );
         // Full round trip including pitch resolution both ways.
-        g.bench_with_input(BenchmarkId::new("roundtrip", measures), &text, |b, text| {
-            b.iter(|| {
-                let items = mdm_darms::parse(text).expect("parse");
-                let voice = mdm_darms::to_voice(&items).expect("voice");
-                let back = mdm_darms::from_voice(&voice, mdm_notation::TimeSignature::common())
-                    .expect("encode");
-                black_box(mdm_darms::emit(&back))
-            });
+        measure(&at("roundtrip"), || {
+            let items = mdm_darms::parse(&text).expect("parse");
+            let voice = mdm_darms::to_voice(&items).expect("voice");
+            let back = mdm_darms::from_voice(&voice, mdm_notation::TimeSignature::common())
+                .expect("encode");
+            mdm_darms::emit(&back)
         });
     }
-    g.finish();
 }
-
-criterion_group!(benches, bench_darms);
-criterion_main!(benches);

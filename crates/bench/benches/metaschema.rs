@@ -2,12 +2,9 @@
 //! and reading schemas as ordered entities, plus graphical-definition
 //! dispatch through the database.
 
-use std::time::Duration;
-
-use criterion::{criterion_group, criterion_main, Criterion};
+use mdm_bench::harness::measure;
 use mdm_lang::Session;
 use mdm_model::{graphdef, meta, AttributeDef, DataType, Database, Value};
-use std::hint::black_box;
 
 fn cmn_schema() -> mdm_model::Schema {
     let mut db = Database::new();
@@ -16,32 +13,6 @@ fn cmn_schema() -> mdm_model::Schema {
         .execute(&mut db, mdm_core::cmn_schema::CMN_DDL)
         .expect("schema");
     db.schema().clone()
-}
-
-fn bench_meta(c: &mut Criterion) {
-    let mut g = c.benchmark_group("f9_metaschema");
-    g.sample_size(20).measurement_time(Duration::from_secs(1));
-    let schema = cmn_schema();
-    g.bench_function("store_cmn_schema_as_data", |b| {
-        b.iter(|| {
-            let mut db = Database::new();
-            black_box(meta::store_schema(&mut db, &schema).expect("store"));
-        });
-    });
-    let mut db = Database::new();
-    meta::store_schema(&mut db, &schema).expect("store");
-    g.bench_function("read_cmn_schema_from_data", |b| {
-        b.iter(|| black_box(meta::read_schema(&db).expect("read")));
-    });
-    g.bench_function("self_describe_metaschema", |b| {
-        b.iter(|| {
-            let m = meta::meta_schema();
-            let mut db = Database::new();
-            meta::store_schema(&mut db, &m).expect("store");
-            black_box(meta::read_schema(&db).expect("read"))
-        });
-    });
-    g.finish();
 }
 
 fn stem_db() -> (Database, u64) {
@@ -97,24 +68,33 @@ fn stem_db() -> (Database, u64) {
     (db, stem)
 }
 
-fn bench_graphdef(c: &mut Criterion) {
-    let mut g = c.benchmark_group("f10_graphdef");
-    g.sample_size(30).measurement_time(Duration::from_secs(1));
+fn main() {
+    let schema = cmn_schema();
+    measure("f9_metaschema/store_cmn_schema_as_data", || {
+        let mut db = Database::new();
+        meta::store_schema(&mut db, &schema).expect("store")
+    });
+    let mut db = Database::new();
+    meta::store_schema(&mut db, &schema).expect("store");
+    measure("f9_metaschema/read_cmn_schema_from_data", || {
+        meta::read_schema(&db).expect("read")
+    });
+    measure("f9_metaschema/self_describe_metaschema", || {
+        let m = meta::meta_schema();
+        let mut db = Database::new();
+        meta::store_schema(&mut db, &m).expect("store");
+        meta::read_schema(&db).expect("read")
+    });
+
     let (db, stem) = stem_db();
-    g.bench_function("draw_instance_4_step", |b| {
-        b.iter(|| black_box(graphdef::draw_instance(&db, stem).expect("draw")));
+    measure("f10_graphdef/draw_instance_4_step", || {
+        graphdef::draw_instance(&db, stem).expect("draw")
     });
     // The same drawing hard-coded, as the ceiling: what a client with a
     // built-in renderer would pay.
-    g.bench_function("draw_hardcoded_ceiling", |b| {
-        b.iter(|| {
-            let program = "/xpos 3 def /ypos 1 def /length 7 def /direction 1 def \
-                           newpath xpos ypos moveto 0 length direction mul rlineto stroke";
-            black_box(graphdef::execute(program, &std::collections::HashMap::new()).expect("exec"))
-        });
+    measure("f10_graphdef/draw_hardcoded_ceiling", || {
+        let program = "/xpos 3 def /ypos 1 def /length 7 def /direction 1 def \
+                       newpath xpos ypos moveto 0 length direction mul rlineto stroke";
+        graphdef::execute(program, &std::collections::HashMap::new()).expect("exec")
     });
-    g.finish();
 }
-
-criterion_group!(benches, bench_meta, bench_graphdef);
-criterion_main!(benches);

@@ -15,139 +15,45 @@
 //! baseline stays flat until gaps exhaust; the modeled ordering does an
 //! in-memory splice. Scans and positional queries are comparable.
 
-use std::time::Duration;
-
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use mdm_bench::harness::{measure, measure_setup};
 use mdm_bench::{FloatKeyStore, ModeledOrderingStore, OrderedStore, PositionStore};
-use std::hint::black_box;
 
 const SIZES: [usize; 3] = [100, 1_000, 5_000];
 
-fn build(store: &mut dyn OrderedStore, n: usize) {
+type Make = fn() -> Box<dyn OrderedStore>;
+
+const STORES: [Make; 3] = [
+    || Box::new(ModeledOrderingStore::new()),
+    || Box::new(PositionStore::new()),
+    || Box::new(FloatKeyStore::new()),
+];
+
+fn built(make: Make, n: usize) -> Box<dyn OrderedStore> {
+    let mut store = make();
     for i in 0..n {
         store.append(i as u64);
     }
+    store
 }
 
-fn with_stores(f: &mut dyn FnMut(&mut dyn OrderedStore)) {
-    let mut modeled = ModeledOrderingStore::new();
-    f(&mut modeled);
-    let mut position = PositionStore::new();
-    f(&mut position);
-    let mut float = FloatKeyStore::new();
-    f(&mut float);
-}
-
-fn bench_append(c: &mut Criterion) {
-    let mut g = c.benchmark_group("e1_append");
-    g.sample_size(10).measurement_time(Duration::from_secs(1));
-    for &n in &SIZES {
-        with_stores(&mut |proto| {
-            g.bench_with_input(BenchmarkId::new(proto.name(), n), &n, |b, &n| {
-                b.iter_with_large_drop(|| {
-                    let mut store: Box<dyn OrderedStore> = match proto.name() {
-                        "modeled-ordering" => Box::new(ModeledOrderingStore::new()),
-                        "relational-renumber" => Box::new(PositionStore::new()),
-                        _ => Box::new(FloatKeyStore::new()),
-                    };
-                    build(store.as_mut(), n);
-                    store
-                });
+fn main() {
+    for n in SIZES {
+        for make in STORES {
+            let mut store = built(make, n);
+            let name = store.name();
+            let (a, z) = ((n / 3) as u64, (2 * n / 3) as u64);
+            measure(&format!("e1_before/{name}/{n}"), || store.before(a, z));
+            measure(&format!("e1_nth_child/{name}/{n}"), || store.nth(n / 2));
+            measure(&format!("e1_ordered_scan/{name}/{n}"), || {
+                store.children().len()
             });
-        });
-    }
-    g.finish();
-}
-
-fn bench_insert_middle(c: &mut Criterion) {
-    let mut g = c.benchmark_group("e1_insert_middle");
-    g.sample_size(10).measurement_time(Duration::from_secs(1));
-    for &n in &SIZES {
-        with_stores(&mut |proto| {
-            g.bench_with_input(BenchmarkId::new(proto.name(), n), &n, |b, &n| {
-                // Build once, measure repeated middle inserts.
-                let mut store: Box<dyn OrderedStore> = match proto.name() {
-                    "modeled-ordering" => Box::new(ModeledOrderingStore::new()),
-                    "relational-renumber" => Box::new(PositionStore::new()),
-                    _ => Box::new(FloatKeyStore::new()),
-                };
-                build(store.as_mut(), n);
-                let mut next = n as u64;
-                b.iter(|| {
-                    store.insert_at(n / 2, next);
-                    next += 1;
-                });
+            // Last on this store: every call grows it by one child.
+            let mut next = n as u64;
+            measure(&format!("e1_insert_middle/{name}/{n}"), || {
+                store.insert_at(n / 2, next);
+                next += 1;
             });
-        });
+            measure_setup(&format!("e1_append/{name}/{n}"), || (), |()| built(make, n));
+        }
     }
-    g.finish();
 }
-
-fn bench_before(c: &mut Criterion) {
-    let mut g = c.benchmark_group("e1_before");
-    g.sample_size(10).measurement_time(Duration::from_secs(1));
-    for &n in &SIZES {
-        with_stores(&mut |proto| {
-            let mut store: Box<dyn OrderedStore> = match proto.name() {
-                "modeled-ordering" => Box::new(ModeledOrderingStore::new()),
-                "relational-renumber" => Box::new(PositionStore::new()),
-                _ => Box::new(FloatKeyStore::new()),
-            };
-            build(store.as_mut(), n);
-            g.bench_with_input(BenchmarkId::new(proto.name(), n), &n, |b, &n| {
-                let a = (n / 3) as u64;
-                let z = (2 * n / 3) as u64;
-                b.iter(|| black_box(store.before(a, z)));
-            });
-        });
-    }
-    g.finish();
-}
-
-fn bench_nth(c: &mut Criterion) {
-    let mut g = c.benchmark_group("e1_nth_child");
-    g.sample_size(10).measurement_time(Duration::from_secs(1));
-    for &n in &SIZES {
-        with_stores(&mut |proto| {
-            let mut store: Box<dyn OrderedStore> = match proto.name() {
-                "modeled-ordering" => Box::new(ModeledOrderingStore::new()),
-                "relational-renumber" => Box::new(PositionStore::new()),
-                _ => Box::new(FloatKeyStore::new()),
-            };
-            build(store.as_mut(), n);
-            g.bench_with_input(BenchmarkId::new(proto.name(), n), &n, |b, &n| {
-                b.iter(|| black_box(store.nth(n / 2)));
-            });
-        });
-    }
-    g.finish();
-}
-
-fn bench_scan(c: &mut Criterion) {
-    let mut g = c.benchmark_group("e1_ordered_scan");
-    g.sample_size(10).measurement_time(Duration::from_secs(1));
-    for &n in &SIZES {
-        with_stores(&mut |proto| {
-            let mut store: Box<dyn OrderedStore> = match proto.name() {
-                "modeled-ordering" => Box::new(ModeledOrderingStore::new()),
-                "relational-renumber" => Box::new(PositionStore::new()),
-                _ => Box::new(FloatKeyStore::new()),
-            };
-            build(store.as_mut(), n);
-            g.bench_with_input(BenchmarkId::new(proto.name(), n), &n, |b, _| {
-                b.iter(|| black_box(store.children().len()));
-            });
-        });
-    }
-    g.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_append,
-    bench_insert_middle,
-    bench_before,
-    bench_nth,
-    bench_scan
-);
-criterion_main!(benches);

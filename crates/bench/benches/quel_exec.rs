@@ -7,12 +7,10 @@
 //! tuple calculus and the motivation for the ordering operators having
 //! *model-level* support.
 
-use std::time::Duration;
-
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use mdm_bench::harness::measure;
 use mdm_bench::workload::chord_database;
 use mdm_lang::Session;
-use std::hint::black_box;
+use mdm_model::Database;
 
 const QUERIES: [(&str, &str); 4] = [
     (
@@ -33,71 +31,39 @@ const QUERIES: [(&str, &str); 4] = [
     ),
 ];
 
-fn bench_paper_queries(c: &mut Criterion) {
-    let mut g = c.benchmark_group("e3_quel_paper_queries");
-    g.sample_size(10).measurement_time(Duration::from_secs(1));
-    for &chords in &[10usize, 40, 160] {
+const POINT: &str = "range of n is NOTE\nretrieve (n.name) where n.name = 6";
+
+fn run(label: &str, db: &mut Database, text: &str) {
+    let mut session = Session::new();
+    measure(label, || session.execute(db, text).expect("query").len());
+}
+
+fn main() {
+    for chords in [10usize, 40, 160] {
         let mut db = chord_database(chords, 4);
+        let notes = chords * 4;
         for (name, text) in QUERIES {
-            g.bench_with_input(BenchmarkId::new(name, chords * 4), &chords, |b, _| {
-                let mut session = Session::new();
-                b.iter(|| {
-                    let out = session.execute(&mut db, text).expect("query");
-                    black_box(out.len())
-                });
-            });
+            run(
+                &format!("e3_quel_paper_queries/{name}/{notes}"),
+                &mut db,
+                text,
+            );
         }
+        // Single-variable selection scales linearly — the contrast case.
+        run(&format!("e3_quel_selection/point/{notes}"), &mut db, POINT);
     }
-    g.finish();
-}
 
-fn bench_selection(c: &mut Criterion) {
-    // Single-variable selection scales linearly — the contrast case.
-    let mut g = c.benchmark_group("e3_quel_selection");
-    g.sample_size(10).measurement_time(Duration::from_secs(1));
-    for &chords in &[10usize, 40, 160] {
-        let mut db = chord_database(chords, 4);
-        g.bench_with_input(BenchmarkId::new("point", chords * 4), &chords, |b, _| {
-            let mut session = Session::new();
-            b.iter(|| {
-                let out = session
-                    .execute(
-                        &mut db,
-                        "range of n is NOTE\nretrieve (n.name) where n.name = 6",
-                    )
-                    .expect("query");
-                black_box(out.len())
-            });
-        });
-    }
-    g.finish();
-}
-
-fn bench_index_ablation(c: &mut Criterion) {
     // Ablation: the executor's one optimization — sargable conjuncts
     // probing a model attribute index — on vs. off.
-    let mut g = c.benchmark_group("e3_index_ablation");
-    g.sample_size(10).measurement_time(Duration::from_secs(1));
-    for &chords in &[100usize, 1000] {
-        let q = "range of n is NOTE\nretrieve (n.name) where n.name = 6";
+    for chords in [100usize, 1000] {
         let mut db = chord_database(chords, 4);
-        g.bench_with_input(BenchmarkId::new("scan", chords * 4), &chords, |b, _| {
-            let mut session = Session::new();
-            b.iter(|| black_box(session.execute(&mut db, q).expect("query").len()));
-        });
+        let notes = chords * 4;
+        run(&format!("e3_index_ablation/scan/{notes}"), &mut db, POINT);
         db.create_attr_index("NOTE", "name").expect("index");
-        g.bench_with_input(BenchmarkId::new("indexed", chords * 4), &chords, |b, _| {
-            let mut session = Session::new();
-            b.iter(|| black_box(session.execute(&mut db, q).expect("query").len()));
-        });
+        run(
+            &format!("e3_index_ablation/indexed/{notes}"),
+            &mut db,
+            POINT,
+        );
     }
-    g.finish();
 }
-
-criterion_group!(
-    benches,
-    bench_paper_queries,
-    bench_selection,
-    bench_index_ablation
-);
-criterion_main!(benches);

@@ -2,104 +2,79 @@
 //! lookups, and recovery time (the "concurrency control and recovery"
 //! the paper's §2 requires of the MDM).
 
-use std::time::Duration;
+use mdm_bench::harness::{measure, measure_setup, ScratchDir};
+use mdm_storage::{encode_i64, StorageEngine, TableId};
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mdm_bench::baseline::tempdir;
-use mdm_storage::{encode_i64, StorageEngine};
-use std::hint::black_box;
-
-fn bench_insert_commit(c: &mut Criterion) {
-    let mut g = c.benchmark_group("e2_txn_insert_commit");
-    g.sample_size(10).measurement_time(Duration::from_secs(1));
-    for &batch in &[1usize, 10, 100] {
-        g.bench_with_input(BenchmarkId::new("batch", batch), &batch, |b, &batch| {
-            let dir = tempdir::fresh("ins");
-            let eng = StorageEngine::open(&dir.0).expect("open");
-            let t = eng.create_table("t").expect("table");
-            b.iter(|| {
-                let mut txn = eng.begin().expect("begin");
-                for i in 0..batch {
-                    eng.insert(&mut txn, t, format!("record {i}").as_bytes())
-                        .expect("insert");
-                }
-                eng.commit(txn).expect("commit");
-            });
-        });
+/// A fresh engine in its own scratch directory with one table `t`
+/// holding `rows` committed records.
+fn engine_with_rows(pool_pages: usize, rows: usize) -> (ScratchDir, StorageEngine, TableId) {
+    let dir = ScratchDir::new("e2");
+    let eng = StorageEngine::open_with_capacity(dir.path(), pool_pages).expect("open");
+    let t = eng.create_table("t").expect("table");
+    let mut txn = eng.begin().expect("begin");
+    for i in 0..rows {
+        eng.insert(&mut txn, t, format!("row body number {i}").as_bytes())
+            .expect("insert");
     }
-    g.finish();
+    eng.commit(txn).expect("commit");
+    (dir, eng, t)
 }
 
-fn bench_concurrent_commit(c: &mut Criterion) {
+fn scan_len(eng: &StorageEngine, t: TableId) -> usize {
+    let mut txn = eng.begin().expect("begin");
+    let n = eng.scan(&mut txn, t).expect("scan").len();
+    eng.commit(txn).expect("commit");
+    n
+}
+
+fn main() {
+    for batch in [1usize, 10, 100] {
+        let (_dir, eng, t) = engine_with_rows(mdm_storage::DEFAULT_POOL_PAGES, 0);
+        measure(&format!("e2_txn_insert_commit/batch/{batch}"), || {
+            let mut txn = eng.begin().expect("begin");
+            for i in 0..batch {
+                eng.insert(&mut txn, t, format!("record {i}").as_bytes())
+                    .expect("insert");
+            }
+            eng.commit(txn).expect("commit");
+        });
+    }
+
     // Thread axis for the latching work: N clients each commit small
     // transactions against their own table of one shared engine. With
     // group commit, concurrent committers share fsyncs, so total time
     // should grow far slower than linearly in N.
-    let mut g = c.benchmark_group("e2_concurrent_commit");
-    g.sample_size(10).measurement_time(Duration::from_secs(2));
-    const OPS_PER_THREAD: usize = 25;
-    for &threads in &[1usize, 2, 4, 8] {
-        g.bench_with_input(
-            BenchmarkId::new("threads", threads),
-            &threads,
-            |b, &threads| {
-                let dir = tempdir::fresh("conc");
-                let eng = StorageEngine::open_with_capacity(&dir.0, 256).expect("open");
-                let tables: Vec<_> = (0..threads)
-                    .map(|i| eng.create_table(&format!("t{i}")).expect("table"))
-                    .collect();
-                b.iter(|| {
-                    std::thread::scope(|scope| {
-                        for &t in &tables {
-                            let eng = eng.clone();
-                            scope.spawn(move || {
-                                for i in 0..OPS_PER_THREAD {
-                                    let mut txn = eng.begin().expect("begin");
-                                    eng.insert(&mut txn, t, format!("row {i}").as_bytes())
-                                        .expect("insert");
-                                    eng.commit(txn).expect("commit");
-                                }
-                            });
+    for threads in [1usize, 2, 4, 8] {
+        let dir = ScratchDir::new("conc");
+        let eng = StorageEngine::open_with_capacity(dir.path(), 256).expect("open");
+        let tables: Vec<_> = (0..threads)
+            .map(|i| eng.create_table(&format!("t{i}")).expect("table"))
+            .collect();
+        measure(&format!("e2_concurrent_commit/threads/{threads}"), || {
+            std::thread::scope(|scope| {
+                for &t in &tables {
+                    let eng = eng.clone();
+                    scope.spawn(move || {
+                        for i in 0..25 {
+                            let mut txn = eng.begin().expect("begin");
+                            eng.insert(&mut txn, t, format!("row {i}").as_bytes())
+                                .expect("insert");
+                            eng.commit(txn).expect("commit");
                         }
                     });
-                });
-            },
-        );
-    }
-    g.finish();
-}
-
-fn bench_scan(c: &mut Criterion) {
-    let mut g = c.benchmark_group("e2_scan");
-    g.sample_size(10).measurement_time(Duration::from_secs(1));
-    for &n in &[1_000usize, 10_000] {
-        let dir = tempdir::fresh("scan");
-        let eng = StorageEngine::open(&dir.0).expect("open");
-        let t = eng.create_table("t").expect("table");
-        let mut txn = eng.begin().expect("begin");
-        for i in 0..n {
-            eng.insert(&mut txn, t, format!("row number {i}").as_bytes())
-                .expect("insert");
-        }
-        eng.commit(txn).expect("commit");
-        g.bench_with_input(BenchmarkId::new("rows", n), &n, |b, _| {
-            b.iter(|| {
-                let mut txn = eng.begin().expect("begin");
-                let rows = eng.scan(&mut txn, t).expect("scan");
-                eng.commit(txn).expect("commit");
-                black_box(rows.len())
-            });
+                }
+            })
         });
     }
-    g.finish();
-}
 
-fn bench_index(c: &mut Criterion) {
-    let mut g = c.benchmark_group("e2_index_lookup");
-    g.sample_size(10).measurement_time(Duration::from_secs(1));
-    for &n in &[1_000usize, 10_000] {
-        let dir = tempdir::fresh("idx");
-        let eng = StorageEngine::open(&dir.0).expect("open");
+    for n in [1_000usize, 10_000] {
+        let (_dir, eng, t) = engine_with_rows(mdm_storage::DEFAULT_POOL_PAGES, n);
+        measure(&format!("e2_scan/rows/{n}"), || scan_len(&eng, t));
+    }
+
+    for n in [1_000usize, 10_000] {
+        let dir = ScratchDir::new("idx");
+        let eng = StorageEngine::open(dir.path()).expect("open");
         let t = eng.create_table("t").expect("table");
         eng.create_index(t, "by_key").expect("index");
         let mut txn = eng.begin().expect("begin");
@@ -111,112 +86,54 @@ fn bench_index(c: &mut Criterion) {
                 .expect("index");
         }
         eng.commit(txn).expect("commit");
-        g.bench_with_input(BenchmarkId::new("point", n), &n, |b, &n| {
-            let mut k = 0i64;
-            b.iter(|| {
-                let mut txn = eng.begin().expect("begin");
-                let hit = eng
-                    .index_lookup(&mut txn, t, "by_key", &encode_i64(k % n as i64))
-                    .expect("lookup");
-                eng.commit(txn).expect("commit");
-                k += 7;
-                black_box(hit.len())
-            });
+        let mut k = 0i64;
+        measure(&format!("e2_index_lookup/point/{n}"), || {
+            let mut txn = eng.begin().expect("begin");
+            let hit = eng
+                .index_lookup(&mut txn, t, "by_key", &encode_i64(k % n as i64))
+                .expect("lookup");
+            eng.commit(txn).expect("commit");
+            k += 7;
+            hit.len()
         });
-        g.bench_with_input(BenchmarkId::new("range_100", n), &n, |b, &n| {
-            b.iter(|| {
-                let mut txn = eng.begin().expect("begin");
-                let lo = (n / 2) as i64;
-                let hits = eng
-                    .index_range(
-                        &mut txn,
-                        t,
-                        "by_key",
-                        Some(&encode_i64(lo)),
-                        Some(&encode_i64(lo + 99)),
-                    )
-                    .expect("range");
-                eng.commit(txn).expect("commit");
-                black_box(hits.len())
-            });
+        let lo = (n / 2) as i64;
+        measure(&format!("e2_index_lookup/range_100/{n}"), || {
+            let mut txn = eng.begin().expect("begin");
+            let (from, to) = (encode_i64(lo), encode_i64(lo + 99));
+            let hits = eng
+                .index_range(&mut txn, t, "by_key", Some(&from), Some(&to))
+                .expect("range");
+            eng.commit(txn).expect("commit");
+            hits.len()
         });
     }
-    g.finish();
-}
 
-fn bench_recovery(c: &mut Criterion) {
-    let mut g = c.benchmark_group("e2_recovery");
-    g.sample_size(10).measurement_time(Duration::from_secs(2));
-    for &ops in &[100usize, 1_000, 5_000] {
-        g.bench_with_input(BenchmarkId::new("replay_ops", ops), &ops, |b, &ops| {
-            b.iter_batched(
-                || {
-                    // Set up a database with `ops` committed inserts and
-                    // no clean shutdown (crash-simulated by leak).
-                    let dir = tempdir::fresh("rec");
-                    {
-                        // Small pool: the leaked engine (simulated crash)
-                        // must not hold 16 MiB per iteration.
-                        let eng = StorageEngine::open_with_capacity(&dir.0, 64).expect("open");
-                        let t = eng.create_table("t").expect("table");
-                        let mut txn = eng.begin().expect("begin");
-                        for i in 0..ops {
-                            eng.insert(&mut txn, t, format!("op {i}").as_bytes())
-                                .expect("insert");
-                        }
-                        eng.commit(txn).expect("commit");
-                        std::mem::forget(eng);
-                    }
-                    dir
-                },
-                |dir| {
-                    let eng = StorageEngine::open(&dir.0).expect("recover");
-                    black_box(eng.last_recovery().replayed);
-                    drop(eng);
-                    drop(dir);
-                },
-                criterion::BatchSize::PerIteration,
-            );
-        });
+    for ops in [100usize, 1_000, 5_000] {
+        measure_setup(
+            &format!("e2_recovery/replay_ops/{ops}"),
+            || {
+                // `ops` committed inserts and no clean shutdown: the
+                // engine is leaked to simulate a crash. A small pool keeps
+                // each leaked engine from holding 16 MiB.
+                let (dir, eng, _) = engine_with_rows(64, ops);
+                std::mem::forget(eng);
+                dir
+            },
+            |dir| {
+                let eng = StorageEngine::open(dir.path()).expect("recover");
+                let replayed = eng.last_recovery().replayed;
+                // The engine closes before its directory goes.
+                (eng, dir, replayed)
+            },
+        );
     }
-    g.finish();
-}
 
-fn bench_pool_ablation(c: &mut Criterion) {
     // Ablation: buffer-pool capacity vs. scan cost on a table larger
     // than the small pools (CLOCK eviction effect).
-    let mut g = c.benchmark_group("e2_pool_ablation");
-    g.sample_size(10).measurement_time(Duration::from_secs(1));
-    let rows = 20_000usize;
-    for &pages in &[16usize, 256, 4096] {
-        let dir = tempdir::fresh("abl");
-        let eng = StorageEngine::open_with_capacity(&dir.0, pages).expect("open");
-        let t = eng.create_table("t").expect("table");
-        let mut txn = eng.begin().expect("begin");
-        for i in 0..rows {
-            eng.insert(&mut txn, t, format!("row body number {i}").as_bytes())
-                .expect("insert");
-        }
-        eng.commit(txn).expect("commit");
-        g.bench_with_input(BenchmarkId::new("scan_20k_rows", pages), &pages, |b, _| {
-            b.iter(|| {
-                let mut txn = eng.begin().expect("begin");
-                let n = eng.scan(&mut txn, t).expect("scan").len();
-                eng.commit(txn).expect("commit");
-                black_box(n)
-            });
+    for pages in [16usize, 256, 4096] {
+        let (_dir, eng, t) = engine_with_rows(pages, 20_000);
+        measure(&format!("e2_pool_ablation/scan_20k_rows/{pages}"), || {
+            scan_len(&eng, t)
         });
     }
-    g.finish();
 }
-
-criterion_group!(
-    benches,
-    bench_insert_commit,
-    bench_concurrent_commit,
-    bench_scan,
-    bench_index,
-    bench_recovery,
-    bench_pool_ablation
-);
-criterion_main!(benches);

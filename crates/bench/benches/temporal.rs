@@ -1,58 +1,41 @@
 //! F13 + F14: the temporal machinery — tempo-map conversions with ramps,
 //! sync extraction, event (tie) extraction, and measure derivation.
 
-use std::time::Duration;
-
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use mdm_bench::harness::measure;
 use mdm_bench::workload::generated_score;
 use mdm_notation::{events, rat, syncs, TempoMap};
-use std::hint::black_box;
 
-fn bench_tempo_map(c: &mut Criterion) {
-    let mut g = c.benchmark_group("f13_tempo_map");
-    g.sample_size(30).measurement_time(Duration::from_secs(1));
-    for &segments in &[1usize, 8, 64] {
+fn main() {
+    for segments in [1usize, 8, 64] {
         let mut t = TempoMap::constant(120.0);
         for s in 0..segments {
             let beat = rat(4 * (s as i64 + 1), 1);
-            if s % 2 == 0 {
+            if s.is_multiple_of(2) {
                 t.ramp(beat, beat + rat(4, 1), 60.0 + (s as f64 * 7.0) % 120.0);
             } else {
                 t.set_tempo(beat, 80.0 + (s as f64 * 13.0) % 100.0);
             }
         }
         let end = rat(4 * (segments as i64 + 2), 1);
-        g.bench_with_input(BenchmarkId::new("score_to_perf", segments), &t, |b, t| {
-            b.iter(|| black_box(t.performance_time(end)));
+        measure(&format!("f13_tempo_map/score_to_perf/{segments}"), || {
+            t.performance_time(end)
         });
         let end_s = t.performance_time(end);
-        g.bench_with_input(BenchmarkId::new("perf_to_score", segments), &t, |b, t| {
-            b.iter(|| black_box(t.score_time(end_s)));
+        measure(&format!("f13_tempo_map/perf_to_score/{segments}"), || {
+            t.score_time(end_s)
         });
     }
-    g.finish();
-}
 
-fn bench_syncs_events(c: &mut Criterion) {
-    let mut g = c.benchmark_group("f14_sync_extraction");
-    g.sample_size(20).measurement_time(Duration::from_secs(1));
-    for &len in &[50usize, 200, 800] {
+    for len in [50usize, 200, 800] {
         let score = generated_score(11, 4, len);
         let m = &score.movements[0];
-        let n_elements: usize = m.voices.iter().map(|v| v.elements.len()).sum();
-        g.throughput(Throughput::Elements(n_elements as u64));
-        g.bench_with_input(BenchmarkId::new("syncs", n_elements), m, |b, m| {
-            b.iter(|| black_box(syncs(m).len()));
+        let n: usize = m.voices.iter().map(|v| v.elements.len()).sum();
+        measure(&format!("f14_sync_extraction/syncs/{n}"), || syncs(m).len());
+        measure(&format!("f14_sync_extraction/events/{n}"), || {
+            events(m).len()
         });
-        g.bench_with_input(BenchmarkId::new("events", n_elements), m, |b, m| {
-            b.iter(|| black_box(events(m).len()));
-        });
-        g.bench_with_input(BenchmarkId::new("measures", n_elements), m, |b, m| {
-            b.iter(|| black_box(m.measures().len()));
+        measure(&format!("f14_sync_extraction/measures/{n}"), || {
+            m.measures().len()
         });
     }
-    g.finish();
 }
-
-criterion_group!(benches, bench_tempo_map, bench_syncs_events);
-criterion_main!(benches);

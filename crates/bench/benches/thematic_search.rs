@@ -1,35 +1,25 @@
 //! F2: thematic-index search — incipit matching at the three levels of
 //! looseness over a growing catalog.
 
-use std::time::Duration;
-
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use mdm_bench::harness::measure;
 use mdm_bench::workload::generated_index;
 use mdm_biblio::{Incipit, MatchKind};
-use std::hint::black_box;
 
-fn bench_search(c: &mut Criterion) {
-    let mut g = c.benchmark_group("f2_thematic_search");
-    g.sample_size(20).measurement_time(Duration::from_secs(1));
+fn main() {
     let fragment = Incipit::from_keys(vec![67, 74, 70, 69, 67]);
-    for &n in &[100usize, 1_000, 10_000] {
+    for n in [100usize, 1_000, 10_000] {
         let idx = generated_index(17, n);
-        g.throughput(Throughput::Elements(n as u64));
         for (name, kind) in [
             ("exact", MatchKind::Exact),
             ("transposed", MatchKind::Transposed),
             ("contour", MatchKind::Contour),
         ] {
-            g.bench_with_input(BenchmarkId::new(name, n), &idx, |b, idx| {
-                b.iter(|| black_box(idx.search_incipit(&fragment, kind).len()));
+            measure(&format!("f2_thematic_search/{name}/{n}"), || {
+                idx.search_incipit(&fragment, kind).len()
             });
         }
-        g.bench_with_input(BenchmarkId::new("title", n), &idx, |b, idx| {
-            b.iter(|| black_box(idx.search_title("Work 57").len()));
+        measure(&format!("f2_thematic_search/title/{n}"), || {
+            idx.search_title("Work 57").len()
         });
     }
-    g.finish();
 }
-
-criterion_group!(benches, bench_search);
-criterion_main!(benches);

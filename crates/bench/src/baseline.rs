@@ -21,6 +21,8 @@ use std::collections::HashMap;
 use mdm_model::{Database, Value};
 use mdm_storage::{encode_i64, Rid, StorageEngine, TableId};
 
+use crate::harness::ScratchDir;
+
 /// One ordered collection of `u64` children under a single parent.
 pub trait OrderedStore {
     /// Implementation name for reports.
@@ -148,30 +150,7 @@ pub struct PositionStore {
     engine: StorageEngine,
     table: TableId,
     count: usize,
-    _dir: tempdir::TempDirGuard,
-}
-
-/// Minimal temp-dir RAII (no external crates).
-pub mod tempdir {
-    /// Removes the directory on drop.
-    pub struct TempDirGuard(pub std::path::PathBuf);
-    impl Drop for TempDirGuard {
-        fn drop(&mut self) {
-            std::fs::remove_dir_all(&self.0).ok();
-        }
-    }
-    /// A fresh unique temp directory.
-    pub fn fresh(tag: &str) -> TempDirGuard {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        static N: AtomicU64 = AtomicU64::new(0);
-        let d = std::env::temp_dir().join(format!(
-            "mdm-bench-{tag}-{}-{}",
-            std::process::id(),
-            N.fetch_add(1, Ordering::Relaxed)
-        ));
-        std::fs::remove_dir_all(&d).ok();
-        TempDirGuard(d)
-    }
+    _dir: ScratchDir,
 }
 
 fn record(child: u64, pos: i64) -> Vec<u8> {
@@ -191,8 +170,8 @@ fn decode_record(r: &[u8]) -> (u64, i64) {
 impl PositionStore {
     /// Creates the backing table and indexes in a fresh temp database.
     pub fn new() -> PositionStore {
-        let dir = tempdir::fresh("pos");
-        let engine = StorageEngine::open(&dir.0).expect("open engine");
+        let dir = ScratchDir::new("pos");
+        let engine = StorageEngine::open(dir.path()).expect("open engine");
         let table = engine.create_table("items").expect("table");
         engine.create_index(table, "by_pos").expect("index");
         engine.create_index(table, "by_child").expect("index");
@@ -366,14 +345,14 @@ pub struct FloatKeyStore {
     order: Vec<(f64, u64)>,
     /// Number of full renumber passes taken (reported by the benches).
     pub renumbers: usize,
-    _dir: tempdir::TempDirGuard,
+    _dir: ScratchDir,
 }
 
 impl FloatKeyStore {
     /// Creates the backing table in a fresh temp database.
     pub fn new() -> FloatKeyStore {
-        let dir = tempdir::fresh("float");
-        let engine = StorageEngine::open(&dir.0).expect("open engine");
+        let dir = ScratchDir::new("float");
+        let engine = StorageEngine::open(dir.path()).expect("open engine");
         let table = engine.create_table("items").expect("table");
         engine.create_index(table, "by_key").expect("index");
         FloatKeyStore {

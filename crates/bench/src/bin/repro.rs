@@ -1,400 +1,184 @@
-//! Regenerates every figure of the paper as a terminal artifact.
+//! Regenerates every figure of the paper and every `BENCH_*.json`
+//! document, and runs the CI smokes.
 //!
 //! ```text
-//! cargo run -p mdm-bench --bin repro -- all
+//! cargo run -p mdm-bench --bin repro -- all                 # every figure
 //! cargo run -p mdm-bench --bin repro -- fig4
-//! cargo run --release -p mdm-bench --bin repro -- bench   # writes BENCH_2.json
-//! cargo run --release -p mdm-bench --bin repro -- smoke   # CI: validate metrics JSON
+//! cargo run --release -p mdm-bench --bin repro -- <command> [output path]
 //! ```
 //!
-//! Artifacts: fig1–fig15 (the paper's figures), t1 (the §4.1 storage
-//! arithmetic), and quel (the four §5.6 example queries). See
-//! EXPERIMENTS.md for the paper-vs-produced notes.
-//!
-//! `bench` runs the multi-client commit sweep and writes `BENCH_2.json` —
-//! throughput per client count plus the engine's full metrics snapshot —
-//! to the repository root (or the path given as a second argument).
-//! `smoke` runs a scaled-down sweep and validates the emitted JSON with
-//! the observability crate's own parser, exiting non-zero if the document
-//! is malformed or a required metric is missing.
-//!
-//! `net-bench` runs the network axis — 1/2/4/8 loopback TCP clients
-//! committing scores and running QUEL reads against one `MdmServer` —
-//! and writes `BENCH_3.json`: throughput plus request-latency p50/p99
-//! from the server's own `mdm_net_request_micros` histogram, with the
-//! full server metrics snapshot embedded. `net-smoke` is the CI check:
-//! server start, client connect, one QUEL query, one score round-trip,
-//! and a clean drained shutdown, all within a deadline.
-//!
-//! `trace-bench` measures request-tracing overhead — each client count
-//! runs once untraced and once with the server tracer at its default
-//! 1-in-16 sampling — and writes `BENCH_4.json`. `trace-smoke` is the
-//! CI check: one traced QUEL execute over loopback must produce a span
-//! tree crossing net → quel → storage with a parseable Chrome
-//! trace-event export.
-//!
-//! `index-bench` runs the secondary-index axis — the same retrieve
-//! executed with and without `define index`, over a 10⁵-entity
-//! chord/note fixture — and writes `BENCH_6.json`: per-query access
-//! paths, tuples fetched, and wall time for the scan and indexed
-//! plans. Every indexed plan must fetch ≥50× fewer tuples than its
-//! scan twin or the bench exits non-zero. `index-smoke` is the CI
-//! check: on a small fixture, the planner must pick a non-scan path
-//! for each probe query, return scan-identical rows, and beat the
-//! scan's tuple traffic.
-//!
-//! `stats-bench` measures statement-statistics overhead — each client
-//! count runs the same QUEL read/write mix once with the statement
-//! store disabled and once recording — and writes `BENCH_7.json`. The
-//! document self-validates: recording must cost ≤5% throughput, and
-//! the recording runs must actually have recorded statements.
-//! `stats-smoke` is the CI check: a scaled-down sweep plus a live
-//! `$statements` retrieve and `Top` request over loopback.
-//!
-//! `torture` runs the full crash-point exploration sweep — a hard crash
-//! at every I/O boundary plus a torn write at every write boundary —
-//! and writes `BENCH_5.json`: the boundary census, explored crash
-//! points, reopen-latency quantiles, any invariant violations, and the
-//! `mdm_fault_*` metric snapshot. It exits non-zero if any violation
-//! was found. `torture-smoke` is the CI check: a strided sweep that
-//! must still explore a healthy number of distinct crash states with
-//! zero violations.
-//!
-//! `repl-bench` runs the replication read fan-out axis — the same QUEL
-//! read mix against 0 (primary only), 1, 2, and 4 streaming replicas
-//! while a writer keeps appending on the primary — and writes
-//! `BENCH_8.json`: read throughput per topology plus replication-lag
-//! p50/p99 (in records behind the primary's durable watermark) sampled
-//! during the run. `repl-smoke` is the CI check: a primary and one
-//! replica over loopback; rows written on the primary must become
-//! readable on the replica within a lag bound, the replica must refuse
-//! writes with the typed code, and a validated 1-replica sweep runs.
-//!
-//! `obs-bench` measures continuous-monitoring overhead — each client
-//! count runs the same QUEL read/write mix once with the monitor
-//! passive and once sampling every 10 ms (100× the production default
-//! rate) — and writes `BENCH_9.json`. The document self-validates:
-//! sampling must cost ≤2% throughput, the sampling runs must actually
-//! have sampled, and the passive runs must not have. `health-smoke`
-//! is the CI drill: a replica held behind a live primary must flip its
-//! `/healthz` from 200 to 503 when the lag alert fires and back to 200
-//! once the stream catches up.
-//!
-//! `mvcc-bench` measures the MVCC read path — at each reader count the
-//! same scan loop runs twice against a table under constant 8-client
-//! write load, once as 2PL shared-lock transactions (with wait-die
-//! retry) and once as lock-free snapshot reads — and writes
-//! `BENCH_10.json`. The document self-validates: snapshot reads must
-//! meet or beat the locked baseline at every reader count, and the
-//! snapshot cells must record exactly zero reader aborts (the snapshot
-//! path cannot lose wait-die — it never enters it). `mvcc-smoke` is
-//! the CI check: a scaled-down validated sweep plus a pinned-snapshot
-//! stability drill.
-//!
-//! `replay-to <src> <dest> --lsn N` is point-in-time recovery from a
-//! WAL-archived database directory: it rebuilds a fresh directory at
-//! `dest` holding exactly the records of `src` below LSN `N`
-//! (`--lsn max` for the full history) and reports the restore point.
+//! [`COMMANDS`] is the one list of commands and builds the usage text.
+//! Each entry names the subcommand, where its output goes, and the
+//! function that runs it; that function's doc says what it measures or
+//! checks. A bench command writes its document to the repository root,
+//! or to the path given after the command, and only after the document
+//! passes its validator in `mdm_bench::validate`. A smoke prints its
+//! report, and every failure exits non-zero. EXPERIMENTS.md holds the
+//! paper-vs-produced notes for the figures.
 
-use mdm_bench::workload;
+use std::time::Instant;
+
+use mdm_bench::harness::{
+    loopback_sweep, paired_rounds, percentile, write_document, Json, ScratchDir, Sweep,
+};
+use mdm_bench::{validate, workload};
 use mdm_core::{Analyst, Composer, Library, MusicDataManager};
 use mdm_lang::Session;
 use mdm_model::{diagram, graphdef, meta, Database, Value};
+use mdm_net::{ClientConfig, MdmClient, MdmServer, ServerConfig};
 use mdm_notation::fixtures::{bwv578_subject, gloria_fragment, two_voice_alignment};
-use mdm_notation::{beam, group, perform, rat, sync, BaseDuration, Duration, TimeSignature};
+use mdm_notation::{beam, group, perform, rat, sync, BaseDuration, Duration, Score, TimeSignature};
+
+/// Where a command's output goes.
+#[derive(Clone, Copy)]
+enum Out {
+    /// A paper artifact, printed under a banner; `all` runs every one.
+    Figure,
+    /// A report on standard output.
+    Report,
+    /// A validated JSON document, written to this file at the repository
+    /// root unless a path follows the command.
+    File(&'static str),
+}
+
+/// A command's body; it gets the arguments after the subcommand.
+type Run = fn(&[String]) -> Result<String, String>;
+
+/// Every subcommand, in usage order.
+const COMMANDS: &[(&str, Out, Run)] = &[
+    ("fig1", Out::Figure, |_| Ok(fig1())),
+    ("fig2", Out::Figure, |_| Ok(fig2())),
+    ("fig3", Out::Figure, |_| Ok(fig3())),
+    ("fig4", Out::Figure, |_| Ok(fig4())),
+    ("fig5", Out::Figure, |_| Ok(fig5())),
+    ("fig6", Out::Figure, |_| Ok(fig6())),
+    ("fig7", Out::Figure, |_| Ok(fig7())),
+    ("fig8", Out::Figure, |_| Ok(fig8())),
+    ("fig9", Out::Figure, |_| Ok(fig9())),
+    ("fig10", Out::Figure, |_| Ok(fig10())),
+    ("fig11", Out::Figure, |_| Ok(fig11())),
+    ("fig12", Out::Figure, |_| Ok(fig12())),
+    ("fig13", Out::Figure, |_| Ok(fig13())),
+    ("fig14", Out::Figure, |_| Ok(fig14())),
+    ("fig15", Out::Figure, |_| Ok(fig15())),
+    ("t1", Out::Figure, |_| Ok(t1())),
+    ("quel", Out::Figure, |_| Ok(quel())),
+    ("bench", Out::File("BENCH_2.json"), |_| {
+        write_document(&commit_sweep(&[1, 2, 4, 8], 200), validate::commit_sweep)
+    }),
+    ("smoke", Out::Report, |_| {
+        let doc = write_document(&commit_sweep(&[1, 2], 25), validate::commit_sweep)?;
+        Ok(format!("metrics JSON smoke: ok ({} bytes)", doc.len()))
+    }),
+    ("net-bench", Out::File("BENCH_3.json"), |_| {
+        write_document(&net_loopback(&[1, 2, 4, 8], 50), validate::net_loopback)
+    }),
+    ("net-smoke", Out::Report, |_| net_smoke()),
+    ("trace-bench", Out::File("BENCH_4.json"), |_| {
+        write_document(
+            &trace_overhead(&[1, 2, 4, 8], 200, 3),
+            validate::trace_overhead,
+        )
+    }),
+    ("trace-smoke", Out::Report, |_| trace_smoke()),
+    ("torture", Out::File("BENCH_5.json"), |_| {
+        let doc = crash_torture(&mdm_storage::TortureConfig::full());
+        write_document(&doc, validate::crash_torture)
+    }),
+    ("torture-smoke", Out::Report, |_| {
+        let started = Instant::now();
+        let doc = crash_torture(&mdm_storage::TortureConfig::smoke());
+        write_document(&doc, validate::crash_torture)?;
+        Ok(format!(
+            "torture smoke: ok — strided crash-point sweep, 0 violations, validated \
+             document in {:.1}s",
+            started.elapsed().as_secs_f64()
+        ))
+    }),
+    ("index-bench", Out::File("BENCH_6.json"), |_| {
+        write_document(&index_planner(500, 200), |d| {
+            validate::index_planner(d, validate::INDEX_MIN_REDUCTION)
+        })
+    }),
+    ("index-smoke", Out::Report, |_| index_smoke()),
+    ("stats-bench", Out::File("BENCH_7.json"), |_| {
+        write_document(&stats_overhead(&[1, 4, 8], 2000, 3), |d| {
+            validate::stats_overhead(d, validate::STATS_MAX_OVERHEAD_PCT)
+        })
+    }),
+    ("stats-smoke", Out::Report, |_| stats_smoke()),
+    ("repl-bench", Out::File("BENCH_8.json"), |_| {
+        write_document(&repl_fanout(&[0, 1, 2, 4], 4, 300), validate::repl_fanout)
+    }),
+    ("repl-smoke", Out::Report, |_| repl_smoke()),
+    ("obs-bench", Out::File("BENCH_9.json"), |_| {
+        write_document(&monitor_overhead(&[1, 4, 8], 2000, 3), |d| {
+            validate::monitor_overhead(d, validate::MONITOR_MAX_OVERHEAD_PCT)
+        })
+    }),
+    ("health-smoke", Out::Report, |_| health_smoke()),
+    ("mvcc-bench", Out::File("BENCH_10.json"), |_| {
+        write_document(&mvcc_reads(&[1, 4, 8], 8, 64, 600), |d| {
+            validate::mvcc_reads(d, validate::MVCC_MIN_WRITERS)
+        })
+    }),
+    ("mvcc-smoke", Out::Report, |_| mvcc_smoke()),
+    ("replay-to", Out::Report, replay_to),
+];
 
 fn main() {
-    let which = std::env::args().nth(1).unwrap_or_else(|| "all".to_string());
-    match which.as_str() {
-        "bench" => {
-            let doc = bench_json(&[1, 2, 4, 8], 200);
-            if let Err(e) = validate_bench_json(&doc) {
-                eprintln!("bench JSON failed self-validation: {e}");
-                std::process::exit(1);
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let which = args.first().map_or("all", String::as_str);
+    if which == "all" {
+        for (name, out, run) in COMMANDS {
+            if matches!(out, Out::Figure) {
+                print_figure(name, &run(&[]).expect("figures cannot fail"));
             }
-            let path = std::env::args()
-                .nth(2)
-                .unwrap_or_else(|| format!("{}/../../BENCH_2.json", env!("CARGO_MANIFEST_DIR")));
-            std::fs::write(&path, &doc).expect("write BENCH_2.json");
-            println!("wrote {path}");
-            return;
         }
-        "smoke" => {
-            let doc = bench_json(&[1, 2], 25);
-            match validate_bench_json(&doc) {
-                Ok(()) => println!("metrics JSON smoke: ok ({} bytes)", doc.len()),
-                Err(e) => {
-                    eprintln!("metrics JSON smoke FAILED: {e}");
-                    std::process::exit(1);
-                }
-            }
-            return;
-        }
-        "net-bench" => {
-            let doc = net_bench_json(&[1, 2, 4, 8], 50);
-            if let Err(e) = validate_net_bench_json(&doc) {
-                eprintln!("net bench JSON failed self-validation: {e}");
-                std::process::exit(1);
-            }
-            let path = std::env::args()
-                .nth(2)
-                .unwrap_or_else(|| format!("{}/../../BENCH_3.json", env!("CARGO_MANIFEST_DIR")));
-            std::fs::write(&path, &doc).expect("write BENCH_3.json");
-            println!("wrote {path}");
-            return;
-        }
-        "net-smoke" => {
-            match net_smoke() {
-                Ok(report) => println!("{report}"),
-                Err(e) => {
-                    eprintln!("net smoke FAILED: {e}");
-                    std::process::exit(1);
-                }
-            }
-            return;
-        }
-        "trace-bench" => {
-            let doc = trace_bench_json(&[1, 2, 4, 8], 200);
-            if let Err(e) = validate_trace_bench_json(&doc) {
-                eprintln!("trace bench JSON failed self-validation: {e}");
-                std::process::exit(1);
-            }
-            let path = std::env::args()
-                .nth(2)
-                .unwrap_or_else(|| format!("{}/../../BENCH_4.json", env!("CARGO_MANIFEST_DIR")));
-            std::fs::write(&path, &doc).expect("write BENCH_4.json");
-            println!("wrote {path}");
-            return;
-        }
-        "trace-smoke" => {
-            match trace_smoke() {
-                Ok(report) => println!("{report}"),
-                Err(e) => {
-                    eprintln!("trace smoke FAILED: {e}");
-                    std::process::exit(1);
-                }
-            }
-            return;
-        }
-        "index-bench" => {
-            let doc = index_bench_json(500, 200);
-            if let Err(e) = validate_index_bench_json(&doc, 50.0) {
-                eprintln!("index bench JSON failed self-validation: {e}");
-                std::process::exit(1);
-            }
-            let path = std::env::args()
-                .nth(2)
-                .unwrap_or_else(|| format!("{}/../../BENCH_6.json", env!("CARGO_MANIFEST_DIR")));
-            std::fs::write(&path, &doc).expect("write BENCH_6.json");
-            println!("wrote {path}");
-            return;
-        }
-        "index-smoke" => {
-            match index_smoke() {
-                Ok(report) => println!("{report}"),
-                Err(e) => {
-                    eprintln!("index smoke FAILED: {e}");
-                    std::process::exit(1);
-                }
-            }
-            return;
-        }
-        "stats-bench" => {
-            let doc = stats_bench_json(&[1, 4, 8], 2000, 3);
-            if let Err(e) = validate_stats_bench_json(&doc, 5.0) {
-                eprintln!("stats bench JSON failed self-validation: {e}");
-                std::process::exit(1);
-            }
-            let path = std::env::args()
-                .nth(2)
-                .unwrap_or_else(|| format!("{}/../../BENCH_7.json", env!("CARGO_MANIFEST_DIR")));
-            std::fs::write(&path, &doc).expect("write BENCH_7.json");
-            println!("wrote {path}");
-            return;
-        }
-        "stats-smoke" => {
-            match stats_smoke() {
-                Ok(report) => println!("{report}"),
-                Err(e) => {
-                    eprintln!("stats smoke FAILED: {e}");
-                    std::process::exit(1);
-                }
-            }
-            return;
-        }
-        "torture" => {
-            let (doc, report) = torture_json(&mdm_storage::TortureConfig::full());
-            if let Err(e) = validate_torture_json(&doc) {
-                eprintln!("torture JSON failed self-validation: {e}");
-                std::process::exit(1);
-            }
-            let path = std::env::args()
-                .nth(2)
-                .unwrap_or_else(|| format!("{}/../../BENCH_5.json", env!("CARGO_MANIFEST_DIR")));
-            std::fs::write(&path, &doc).expect("write BENCH_5.json");
-            println!(
-                "wrote {path} ({} crash points over {} boundaries, {} violations)",
-                report.crash_points,
-                report.boundaries,
-                report.violations.len()
-            );
-            if !report.violations.is_empty() {
-                for v in report.violations.iter().take(8) {
-                    eprintln!("violation: {v}");
-                }
-                std::process::exit(1);
-            }
-            return;
-        }
-        "torture-smoke" => {
-            match torture_smoke() {
-                Ok(report) => println!("{report}"),
-                Err(e) => {
-                    eprintln!("torture smoke FAILED: {e}");
-                    std::process::exit(1);
-                }
-            }
-            return;
-        }
-        "repl-bench" => {
-            let doc = repl_bench_json(&[0, 1, 2, 4], 4, 300);
-            if let Err(e) = validate_repl_bench_json(&doc) {
-                eprintln!("repl bench JSON failed self-validation: {e}");
-                std::process::exit(1);
-            }
-            let path = std::env::args()
-                .nth(2)
-                .unwrap_or_else(|| format!("{}/../../BENCH_8.json", env!("CARGO_MANIFEST_DIR")));
-            std::fs::write(&path, &doc).expect("write BENCH_8.json");
-            println!("wrote {path}");
-            return;
-        }
-        "repl-smoke" => {
-            match repl_smoke() {
-                Ok(report) => println!("{report}"),
-                Err(e) => {
-                    eprintln!("repl smoke FAILED: {e}");
-                    std::process::exit(1);
-                }
-            }
-            return;
-        }
-        "obs-bench" => {
-            let doc = obs_bench_json(&[1, 4, 8], 2000, 3);
-            if let Err(e) = validate_obs_bench_json(&doc, 2.0) {
-                eprintln!("obs bench JSON failed self-validation: {e}");
-                std::process::exit(1);
-            }
-            let path = std::env::args()
-                .nth(2)
-                .unwrap_or_else(|| format!("{}/../../BENCH_9.json", env!("CARGO_MANIFEST_DIR")));
-            std::fs::write(&path, &doc).expect("write BENCH_9.json");
-            println!("wrote {path}");
-            return;
-        }
-        "health-smoke" => {
-            match health_smoke() {
-                Ok(report) => println!("{report}"),
-                Err(e) => {
-                    eprintln!("health smoke FAILED: {e}");
-                    std::process::exit(1);
-                }
-            }
-            return;
-        }
-        "mvcc-bench" => {
-            let doc = mvcc_bench_json(&[1, 4, 8], 8, 64, 600);
-            if let Err(e) = validate_mvcc_bench_json(&doc, 8) {
-                eprintln!("mvcc bench JSON failed self-validation: {e}");
-                std::process::exit(1);
-            }
-            let path = std::env::args()
-                .nth(2)
-                .unwrap_or_else(|| format!("{}/../../BENCH_10.json", env!("CARGO_MANIFEST_DIR")));
-            std::fs::write(&path, &doc).expect("write BENCH_10.json");
-            println!("wrote {path}");
-            return;
-        }
-        "mvcc-smoke" => {
-            match mvcc_smoke() {
-                Ok(report) => println!("{report}"),
-                Err(e) => {
-                    eprintln!("mvcc smoke FAILED: {e}");
-                    std::process::exit(1);
-                }
-            }
-            return;
-        }
-        "replay-to" => {
-            match replay_to(&std::env::args().skip(2).collect::<Vec<_>>()) {
-                Ok(report) => println!("{report}"),
-                Err(e) => {
-                    eprintln!("replay-to FAILED: {e}");
-                    std::process::exit(1);
-                }
-            }
-            return;
-        }
-        _ => {}
+        return;
     }
-    type Artifact = (&'static str, fn() -> String);
-    let all: Vec<Artifact> = vec![
-        ("fig1", fig1),
-        ("fig2", fig2),
-        ("fig3", fig3),
-        ("fig4", fig4),
-        ("fig5", fig5),
-        ("fig6", fig6),
-        ("fig7", fig7),
-        ("fig8", fig8),
-        ("fig9", fig9),
-        ("fig10", fig10),
-        ("fig11", fig11),
-        ("fig12", fig12),
-        ("fig13", fig13),
-        ("fig14", fig14),
-        ("fig15", fig15),
-        ("t1", t1),
-        ("quel", quel),
-    ];
-    let selected: Vec<_> = if which == "all" {
-        all
-    } else {
-        let found = all
-            .into_iter()
-            .filter(|(n, _)| *n == which)
-            .collect::<Vec<_>>();
-        if found.is_empty() {
-            eprintln!(
-                "unknown artifact {which}; use fig1..fig15, t1, quel, bench, smoke, \
-                 net-bench, net-smoke, trace-bench, trace-smoke, index-bench, \
-                 index-smoke, stats-bench, stats-smoke, torture, torture-smoke, \
-                 repl-bench, repl-smoke, obs-bench, health-smoke, \
-                 mvcc-bench, mvcc-smoke, \
-                 replay-to <src> <dest> --lsn <N>, or all"
-            );
-            std::process::exit(2);
-        }
-        found
+    let Some((name, out, run)) = COMMANDS.iter().find(|c| c.0 == which) else {
+        let names: Vec<&str> = COMMANDS.iter().map(|c| c.0).collect();
+        eprintln!(
+            "unknown command {which}; use {}, or all \
+             (replay-to takes <src> <dest> --lsn <N|max>)",
+            names.join(", ")
+        );
+        std::process::exit(2);
     };
-    for (name, f) in selected {
-        println!("================================================================");
-        println!("== {name}");
-        println!("================================================================");
-        println!("{}", f());
+    let text = match run(&args[1..]) {
+        Ok(text) => text,
+        Err(e) => {
+            eprintln!("{name} FAILED: {e}");
+            std::process::exit(1);
+        }
+    };
+    match out {
+        Out::Figure => print_figure(name, &text),
+        Out::Report => println!("{text}"),
+        Out::File(file) => {
+            let path = args
+                .get(1)
+                .cloned()
+                .unwrap_or_else(|| format!("{}/../../{file}", env!("CARGO_MANIFEST_DIR")));
+            std::fs::write(&path, &text).unwrap_or_else(|e| panic!("write {path}: {e}"));
+            println!("wrote {path}");
+        }
     }
 }
 
-fn tmp_mdm(tag: &str) -> (MusicDataManager, std::path::PathBuf) {
-    let dir = std::env::temp_dir().join(format!("mdm-repro-{tag}-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    (MusicDataManager::open(&dir).expect("open MDM"), dir)
+fn print_figure(name: &str, text: &str) {
+    println!("================================================================");
+    println!("== {name}");
+    println!("================================================================");
+    println!("{text}");
 }
 
 /// Fig. 1: the music data manager and its clients — all four client
 /// kinds of §2 driving one shared MDM.
 fn fig1() -> String {
-    let (mut mdm, dir) = tmp_mdm("fig1");
+    let dir = ScratchDir::new("fig1");
+    let mut mdm = MusicDataManager::open(dir.path()).expect("open MDM");
     let mut out = String::new();
     out.push_str("        score          music\n");
     out.push_str("       editor        analysis      composition     score library\n");
@@ -441,8 +225,6 @@ fn fig1() -> String {
             .accepted_name(lib.index().get(1).expect("entry"))
     ));
     out.push_str("\nAll four clients operated on the same entities — no converters.\n");
-    drop(mdm);
-    std::fs::remove_dir_all(&dir).ok();
     out
 }
 
@@ -757,7 +539,8 @@ fn fig10() -> String {
 /// (orchestra/section/instrument/part) and graphical (page/system/staff/
 /// degree) hierarchies populated too.
 fn fig11() -> String {
-    let (mut mdm, dir) = tmp_mdm("fig11");
+    let dir = ScratchDir::new("fig11");
+    let mut mdm = MusicDataManager::open(dir.path()).expect("open MDM");
     let subject = bwv578_subject().movements[0].voices[0].clone();
     let mut fugue = bwv578_subject();
     // A sostenuto-pedal actuation — the paper's own MIDI-control example.
@@ -784,10 +567,7 @@ fn fig11() -> String {
         mdm_core::layout_score(mdm.database_mut(), id, mdm_core::LayoutConfig::default())
             .expect("layout");
     }
-    let out = mdm.census();
-    drop(mdm);
-    std::fs::remove_dir_all(&dir).ok();
-    out
+    mdm.census()
 }
 
 /// Fig. 12: aspects of musical entities.
@@ -802,7 +582,8 @@ fn fig12() -> String {
 
 /// Fig. 13: the temporal HO graph, with live instance counts.
 fn fig13() -> String {
-    let (mut mdm, dir) = tmp_mdm("fig13");
+    let dir = ScratchDir::new("fig13");
+    let mut mdm = MusicDataManager::open(dir.path()).expect("open MDM");
     mdm.store_score(&bwv578_subject()).expect("store");
     let db = mdm.database();
     let mut out = String::new();
@@ -824,8 +605,6 @@ fn fig13() -> String {
             db.instances_of(ty).expect("instances").len()
         ));
     }
-    drop(mdm);
-    std::fs::remove_dir_all(&dir).ok();
     out
 }
 
@@ -914,23 +693,57 @@ fn t1() -> String {
     out
 }
 
-/// The E2 multi-client commit sweep as a JSON document: per-client-count
-/// throughput in `runs`, plus the final engine's full metrics snapshot
-/// under `engine_metrics` so the bench trajectory records pool hit
-/// rates, fsync latency, and group-commit batch sizes alongside the
-/// numbers they explain.
-fn bench_json(client_counts: &[usize], ops_per_client: usize) -> String {
-    let mut runs = String::new();
-    let mut last_snapshot = None;
-    for (i, &clients) in client_counts.iter().enumerate() {
-        let dir =
-            std::env::temp_dir().join(format!("mdm-repro-bench-{clients}-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        let eng = mdm_storage::StorageEngine::open_with_capacity(&dir, 256).expect("open");
+/// The four §5.6 example queries, executed verbatim.
+fn quel() -> String {
+    let mut db = workload::chord_database(3, 4);
+    let mut session = Session::new();
+    let mut out = String::new();
+    let queries = [
+        (
+            "notes prior to note 6 in its chord",
+            "range of n1, n2 is NOTE\nretrieve (n1.name) where n1 before n2 in note_in_chord and n2.name = 6",
+        ),
+        (
+            "notes that follow note 6",
+            "retrieve (n1.name) where n1 after n2 in note_in_chord and n2.name = 6",
+        ),
+        (
+            "notes under chord 2",
+            "range of c1 is CHORD\nretrieve (n1.name) where n1 under c1 in note_in_chord and c1.name = 2",
+        ),
+        (
+            "the parent chord of note 6",
+            "retrieve (c1.name) where n1 under c1 in note_in_chord and n1.name = 6",
+        ),
+    ];
+    for (label, q) in queries {
+        out.push_str(&format!("-- {label}\n{q}\n"));
+        let results = session.execute(&mut db, q).expect("query");
+        for r in results {
+            if let mdm_lang::StmtResult::Rows(t) = r {
+                out.push_str(&t.to_string());
+            }
+        }
+        out.push('\n');
+    }
+    out
+}
+
+/// E2, `BENCH_2.json`: the multi-client commit sweep. Per client count,
+/// every client commits small transactions to its own table of one
+/// engine; the last engine's full metrics snapshot rides along so pool
+/// hit rates, fsync latency and group-commit batch sizes sit beside the
+/// throughput they explain.
+fn commit_sweep(client_counts: &[usize], ops_per_client: usize) -> Json {
+    let mut runs = Vec::new();
+    let mut snapshot = None;
+    for &clients in client_counts {
+        let dir = ScratchDir::new("commit");
+        let eng = mdm_storage::StorageEngine::open_with_capacity(dir.path(), 256).expect("open");
         let tables: Vec<_> = (0..clients)
             .map(|t| eng.create_table(&format!("t{t}")).expect("table"))
             .collect();
-        let started = std::time::Instant::now();
+        let started = Instant::now();
         std::thread::scope(|scope| {
             for &t in &tables {
                 let eng = eng.clone();
@@ -946,244 +759,120 @@ fn bench_json(client_counts: &[usize], ops_per_client: usize) -> String {
         });
         let elapsed = started.elapsed();
         let txns = clients * ops_per_client;
-        let per_sec = txns as f64 / elapsed.as_secs_f64();
-        if i > 0 {
-            runs.push(',');
-        }
-        runs.push_str(&format!(
-            "{{\"clients\":{clients},\"txns\":{txns},\"micros\":{},\"txns_per_sec\":{per_sec:.1}}}",
-            elapsed.as_micros()
-        ));
-        last_snapshot = Some(eng.metrics_snapshot());
-        drop(eng);
-        std::fs::remove_dir_all(&dir).ok();
+        runs.push(Json::obj([
+            ("clients", clients.into()),
+            ("txns", txns.into()),
+            ("micros", (elapsed.as_micros() as u64).into()),
+            ("txns_per_sec", (txns as f64 / elapsed.as_secs_f64()).into()),
+        ]));
+        snapshot = Some(eng.metrics_snapshot());
     }
-    format!(
-        "{{\"bench\":\"e2_concurrent_commit\",\"ops_per_client\":{ops_per_client},\
-         \"runs\":[{runs}],\"engine_metrics\":{}}}\n",
-        last_snapshot.expect("at least one client count").to_json()
-    )
+    Json::obj([
+        ("bench", "e2_concurrent_commit".into()),
+        ("ops_per_client", ops_per_client.into()),
+        ("runs", Json::Arr(runs)),
+        (
+            "engine_metrics",
+            snapshot.as_ref().expect("a client count").into(),
+        ),
+    ])
 }
 
-/// Validates a `bench_json` document with the observability crate's own
-/// parser: well-formed JSON, a non-empty run list with the expected
-/// fields, and every engine metric the ROADMAP cares about present in
-/// the embedded snapshot.
-fn validate_bench_json(doc: &str) -> Result<(), String> {
-    use mdm_obs::json::{parse, Value};
-    let v = parse(doc).map_err(|e| e.to_string())?;
-    let runs = v
-        .get("runs")
-        .and_then(Value::as_array)
-        .ok_or("missing runs array")?;
-    if runs.is_empty() {
-        return Err("runs array is empty".into());
+/// The net and trace sweeps' op: even ops commit `score`, odd ops read
+/// every score title.
+fn store_or_list(c: &mut MdmClient, score: &Score, op: usize) {
+    if op.is_multiple_of(2) {
+        c.store_score(score).expect("store");
+    } else {
+        c.query("range of s is SCORE\nretrieve (s.title)")
+            .expect("query");
     }
-    for run in runs {
-        for key in ["clients", "txns", "micros"] {
-            run.get(key)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("run is missing integer field {key}"))?;
-        }
-        if !matches!(run.get("txns_per_sec"), Some(Value::Number(_))) {
-            return Err("run is missing txns_per_sec".into());
-        }
-    }
-    let metrics = v
-        .get("engine_metrics")
-        .and_then(|m| m.get("metrics"))
-        .and_then(Value::as_array)
-        .ok_or("missing engine_metrics.metrics array")?;
-    for required in [
-        "mdm_pool_hits_total",
-        "mdm_pool_misses_total",
-        "mdm_pool_evictions_total",
-        "mdm_wal_appends_total",
-        "mdm_wal_fsyncs_total",
-        "mdm_wal_fsync_micros",
-        "mdm_wal_group_commit_batch",
-        "mdm_wal_eviction_syncs_total",
-        "mdm_txn_begins_total",
-        "mdm_txn_commits_total",
-        "mdm_txn_aborts_total",
-        "mdm_txn_active",
-        "mdm_lock_waits_total",
-        "mdm_lock_wait_die_aborts_total",
-    ] {
-        if !metrics
-            .iter()
-            .any(|m| m.get("name").and_then(Value::as_str) == Some(required))
-        {
-            return Err(format!("metric {required} missing from snapshot"));
-        }
-    }
-    Ok(())
 }
 
-/// The network axis: `clients` loopback TCP connections against one
-/// `MdmServer`, each alternating score commits with QUEL reads. Reads go
-/// down the server's shared read path, commits serialize on the write
-/// half — the sweep measures what concurrent music clients actually get
-/// end-to-end (framing, checksums, dispatch, storage) rather than the
-/// engine alone. Latency quantiles come from the server's own
-/// `mdm_net_request_micros` histogram.
-fn net_bench_json(client_counts: &[usize], ops_per_client: usize) -> String {
-    use mdm_net::{ClientConfig, MdmClient, MdmServer, ServerConfig};
-    let mut runs = String::new();
-    let mut last_snapshot = None;
-    for (i, &clients) in client_counts.iter().enumerate() {
-        let dir =
-            std::env::temp_dir().join(format!("mdm-repro-net-{clients}-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        let mdm = MusicDataManager::open(&dir).expect("open MDM");
-        let server =
-            MdmServer::start(mdm, "127.0.0.1:0", ServerConfig::default()).expect("start server");
-        let addr = server.local_addr().to_string();
-        let score = bwv578_subject();
-
-        let started = std::time::Instant::now();
-        std::thread::scope(|scope| {
-            for worker in 0..clients {
-                let addr = addr.clone();
-                let score = score.clone();
-                scope.spawn(move || {
-                    let mut c = MdmClient::connect(
-                        &addr,
-                        ClientConfig {
-                            client_name: format!("bench-{worker}"),
-                            ..ClientConfig::default()
-                        },
-                    )
-                    .expect("connect");
-                    for op in 0..ops_per_client {
-                        if op % 2 == 0 {
-                            c.store_score(&score).expect("store");
-                        } else {
-                            c.query("range of s is SCORE\nretrieve (s.title)")
-                                .expect("query");
-                        }
-                    }
-                });
-            }
-        });
-        let elapsed = started.elapsed();
-        let requests = clients * ops_per_client;
-        let per_sec = requests as f64 / elapsed.as_secs_f64();
-
-        let mdm = server.shutdown().expect("shutdown");
-        let snap = mdm.metrics_snapshot();
-        let lat = snap
-            .histogram("mdm_net_request_micros")
-            .expect("latency histogram");
-        let p50 = lat.quantile(0.50).unwrap_or(0.0);
-        let p99 = lat.quantile(0.99).unwrap_or(0.0);
-        if i > 0 {
-            runs.push(',');
-        }
-        runs.push_str(&format!(
-            "{{\"clients\":{clients},\"requests\":{requests},\"micros\":{},\
-             \"requests_per_sec\":{per_sec:.1},\"p50_micros\":{p50:.1},\"p99_micros\":{p99:.1}}}",
-            elapsed.as_micros()
-        ));
-        last_snapshot = Some(snap);
-        drop(mdm);
-        std::fs::remove_dir_all(&dir).ok();
+/// The stats and monitor sweeps' op against `entity`: even ops append a
+/// row, odd ops probe one by rank.
+fn append_or_probe(c: &mut MdmClient, entity: &str, worker: usize, op: usize) {
+    if op.is_multiple_of(2) {
+        c.execute(&format!(
+            "append to {entity} (name = \"w{worker}\", rank = {op})"
+        ))
+        .expect("append");
+    } else {
+        c.query(&format!(
+            "range of s is {entity}\nretrieve (s.name) where s.rank = {op}"
+        ))
+        .expect("query");
     }
-    format!(
-        "{{\"bench\":\"e3_net_loopback\",\"ops_per_client\":{ops_per_client},\
-         \"runs\":[{runs}],\"server_metrics\":{}}}\n",
-        last_snapshot.expect("at least one client count").to_json()
-    )
 }
 
-/// Validates a `net_bench_json` document: well-formed JSON, runs with
-/// throughput and latency-quantile fields, and the `mdm_net_*` families
-/// present in the embedded server snapshot.
-fn validate_net_bench_json(doc: &str) -> Result<(), String> {
-    use mdm_obs::json::{parse, Value};
-    let v = parse(doc).map_err(|e| e.to_string())?;
-    let runs = v
-        .get("runs")
-        .and_then(Value::as_array)
-        .ok_or("missing runs array")?;
-    if runs.is_empty() {
-        return Err("runs array is empty".into());
+/// E3, `BENCH_3.json`: the network axis. Per client count, loopback TCP
+/// clients alternate score commits with QUEL reads against one
+/// `MdmServer`, so the figures cover framing, checksums, dispatch and
+/// storage rather than the engine alone. `p50_micros` and `p99_micros`
+/// are nearest-rank percentiles over every request's client-side
+/// latency; documents written before the shared harness interpolated
+/// them from the server's `mdm_net_request_micros` histogram buckets.
+fn net_loopback(client_counts: &[usize], ops_per_client: usize) -> Json {
+    let score = bwv578_subject();
+    let mut runs = Vec::new();
+    let mut snapshot = None;
+    for &clients in client_counts {
+        let sweep = loopback_sweep(
+            clients,
+            ops_per_client,
+            |_| ServerConfig::default(),
+            |c, _, op| store_or_list(c, &score, op),
+        );
+        runs.push(Json::obj([
+            ("clients", clients.into()),
+            ("requests", sweep.latencies_ns.len().into()),
+            ("micros", (sweep.elapsed.as_micros() as u64).into()),
+            ("requests_per_sec", sweep.ops_per_sec().into()),
+            ("p50_micros", sweep.latency_us(0.50).into()),
+            ("p99_micros", sweep.latency_us(0.99).into()),
+        ]));
+        snapshot = Some(sweep.snapshot);
     }
-    for run in runs {
-        for key in ["clients", "requests", "micros"] {
-            run.get(key)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("run is missing integer field {key}"))?;
-        }
-        for key in ["requests_per_sec", "p50_micros", "p99_micros"] {
-            if !matches!(run.get(key), Some(Value::Number(_))) {
-                return Err(format!("run is missing {key}"));
-            }
-        }
-    }
-    let metrics = v
-        .get("server_metrics")
-        .and_then(|m| m.get("metrics"))
-        .and_then(Value::as_array)
-        .ok_or("missing server_metrics.metrics array")?;
-    for required in [
-        "mdm_net_connections_accepted_total",
-        "mdm_net_connections_refused_total",
-        "mdm_net_connections_active",
-        "mdm_net_decode_errors_total",
-        "mdm_net_bytes_in_total",
-        "mdm_net_bytes_out_total",
-        "mdm_net_request_micros",
-        "mdm_net_frame_bytes",
-        "mdm_net_requests_total",
-        // The net sweep still exercises the storage stack underneath.
-        "mdm_wal_appends_total",
-        "mdm_txn_commits_total",
-    ] {
-        if !metrics
-            .iter()
-            .any(|m| m.get("name").and_then(Value::as_str) == Some(required))
-        {
-            return Err(format!("metric {required} missing from snapshot"));
-        }
-    }
-    Ok(())
+    Json::obj([
+        ("bench", "e3_net_loopback".into()),
+        ("ops_per_client", ops_per_client.into()),
+        ("runs", Json::Arr(runs)),
+        (
+            "server_metrics",
+            snapshot.as_ref().expect("a client count").into(),
+        ),
+    ])
 }
 
 /// The CI network smoke: server start, client connect, one QUEL query,
-/// one score round-trip, clean drained shutdown — all within a deadline.
+/// one score round-trip and a clean drained shutdown, then a validated
+/// 2-point sweep, all within a deadline.
 fn net_smoke() -> Result<String, String> {
-    use mdm_net::{ClientConfig, MdmClient, MdmServer, ServerConfig};
     let deadline = std::time::Duration::from_secs(30);
-    let started = std::time::Instant::now();
-
-    let dir = std::env::temp_dir().join(format!("mdm-repro-net-smoke-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    let mdm = MusicDataManager::open(&dir).map_err(|e| format!("open: {e}"))?;
-    let server = MdmServer::start(mdm, "127.0.0.1:0", ServerConfig::default())
-        .map_err(|e| format!("start: {e}"))?;
-    let mut c = MdmClient::connect(&server.local_addr().to_string(), ClientConfig::default())
-        .map_err(|e| format!("connect: {e}"))?;
-
-    let score = bwv578_subject();
-    let id = c.store_score(&score).map_err(|e| format!("store: {e}"))?;
-    let loaded = c.load_score(id).map_err(|e| format!("load: {e}"))?;
-    if loaded != score {
-        return Err("score round-trip mismatch".into());
+    let started = Instant::now();
+    {
+        let dir = ScratchDir::new("net-smoke");
+        let mdm = MusicDataManager::open(dir.path()).map_err(|e| format!("open: {e}"))?;
+        let server = MdmServer::start(mdm, "127.0.0.1:0", ServerConfig::default())
+            .map_err(|e| format!("start: {e}"))?;
+        let mut c = MdmClient::connect(&server.local_addr().to_string(), ClientConfig::default())
+            .map_err(|e| format!("connect: {e}"))?;
+        let score = bwv578_subject();
+        let id = c.store_score(&score).map_err(|e| format!("store: {e}"))?;
+        let loaded = c.load_score(id).map_err(|e| format!("load: {e}"))?;
+        if loaded != score {
+            return Err("score round-trip mismatch".into());
+        }
+        let table = c
+            .query("range of s is SCORE\nretrieve (s.title)")
+            .map_err(|e| format!("query: {e}"))?;
+        if table.rows.len() != 1 {
+            return Err(format!("expected 1 score row, got {}", table.rows.len()));
+        }
+        drop(c);
+        server.shutdown().map_err(|e| format!("shutdown: {e}"))?;
     }
-    let table = c
-        .query("range of s is SCORE\nretrieve (s.title)")
-        .map_err(|e| format!("query: {e}"))?;
-    if table.rows.len() != 1 {
-        return Err(format!("expected 1 score row, got {}", table.rows.len()));
-    }
-    drop(c);
-    let mdm = server.shutdown().map_err(|e| format!("shutdown: {e}"))?;
-    let doc = net_bench_json(&[1, 2], 10);
-    validate_net_bench_json(&doc)?;
-    drop(mdm);
-    std::fs::remove_dir_all(&dir).ok();
-
+    write_document(&net_loopback(&[1, 2], 10), validate::net_loopback)?;
     let elapsed = started.elapsed();
     if elapsed > deadline {
         return Err(format!(
@@ -1199,169 +888,69 @@ fn net_smoke() -> Result<String, String> {
     ))
 }
 
-/// One loopback sweep at `clients` workers alternating score commits
-/// with QUEL reads. With `sample_every = Some(n)` the server tracer
-/// records 1-in-`n` requests; `None` leaves tracing off. Returns
-/// `(requests_per_sec, p50_micros, p99_micros, server snapshot)`.
-fn trace_sweep(
-    clients: usize,
-    ops_per_client: usize,
-    sample_every: Option<u64>,
-) -> (f64, f64, f64, mdm_obs::Snapshot) {
-    use mdm_net::{ClientConfig, MdmClient, MdmServer, ServerConfig, TraceOp};
-    let dir = std::env::temp_dir().join(format!(
-        "mdm-repro-trace-{clients}-{}-{}",
-        sample_every.is_some(),
-        std::process::id()
-    ));
-    std::fs::remove_dir_all(&dir).ok();
-    let mdm = MusicDataManager::open(&dir).expect("open MDM");
-    let server =
-        MdmServer::start(mdm, "127.0.0.1:0", ServerConfig::default()).expect("start server");
-    let addr = server.local_addr().to_string();
-    if let Some(n) = sample_every {
-        let mut control = MdmClient::connect(&addr, ClientConfig::default()).expect("control");
-        control
-            .trace_control(TraceOp::Enable { sample_every: n })
-            .expect("enable tracing");
-        control.disconnect();
-    }
+/// E4, `BENCH_4.json`: request-tracing overhead. Per client count,
+/// `rounds` paired rounds of the net sweep's op mix, untraced and then
+/// with the server tracer at the default 1-in-16 sampling. Each run
+/// records the median throughputs and every round's paired overhead,
+/// with their median and their smallest (`overhead_pct`); the embedded
+/// snapshot is the smallest round's traced run. The latency percentiles
+/// are nearest rank over all rounds' client-side samples per condition.
+/// Documents written before the shared harness took each condition's
+/// best round and interpolated server histogram buckets. There is no
+/// overhead gate.
+fn trace_overhead(client_counts: &[usize], ops_per_client: usize, rounds: usize) -> Json {
     let score = bwv578_subject();
-    let started = std::time::Instant::now();
-    std::thread::scope(|scope| {
-        for worker in 0..clients {
-            let addr = addr.clone();
-            let score = score.clone();
-            scope.spawn(move || {
-                let mut c = MdmClient::connect(
-                    &addr,
-                    ClientConfig {
-                        client_name: format!("trace-bench-{worker}"),
-                        ..ClientConfig::default()
+    let mut runs = Vec::new();
+    let mut snapshot = None;
+    for &clients in client_counts {
+        let paired = paired_rounds(
+            rounds,
+            |traced| {
+                let sweep = loopback_sweep(
+                    clients,
+                    ops_per_client,
+                    |m| {
+                        if traced {
+                            m.tracer().set_sample_every(mdm_obs::DEFAULT_SAMPLE_EVERY);
+                            m.tracer().set_enabled(true);
+                        }
+                        ServerConfig::default()
                     },
-                )
-                .expect("connect");
-                for op in 0..ops_per_client {
-                    if op % 2 == 0 {
-                        c.store_score(&score).expect("store");
-                    } else {
-                        c.query("range of s is SCORE\nretrieve (s.title)")
-                            .expect("query");
-                    }
-                }
-            });
+                    |c, _, op| store_or_list(c, &score, op),
+                );
+                (sweep.ops_per_sec(), sweep.latencies_ns, sweep.snapshot)
+            },
+            |run| run.0,
+        );
+        let (mut untraced, mut traced) = (Vec::new(), Vec::new());
+        for (off, on) in &paired.runs {
+            untraced.extend(&off.1);
+            traced.extend(&on.1);
         }
-    });
-    let elapsed = started.elapsed();
-    let per_sec = (clients * ops_per_client) as f64 / elapsed.as_secs_f64();
-    let mdm = server.shutdown().expect("shutdown");
-    let snap = mdm.metrics_snapshot();
-    let lat = snap
-        .histogram("mdm_net_request_micros")
-        .expect("latency histogram");
-    let p50 = lat.quantile(0.50).unwrap_or(0.0);
-    let p99 = lat.quantile(0.99).unwrap_or(0.0);
-    drop(mdm);
-    std::fs::remove_dir_all(&dir).ok();
-    (per_sec, p50, p99, snap)
-}
-
-/// The tracing-overhead axis: for each client count, sweeps untraced
-/// and with the server tracer on at the default 1-in-16 sampling. The
-/// conditions alternate and each reports its best of two rounds, which
-/// suppresses scheduler noise on small machines — on one core the
-/// run-to-run spread otherwise dwarfs the effect being measured. The
-/// acceptance bar is traced throughput within 10% of untraced.
-fn trace_bench_json(client_counts: &[usize], ops_per_client: usize) -> String {
-    let mut runs = String::new();
-    let mut last_traced_snapshot = None;
-    for (i, &clients) in client_counts.iter().enumerate() {
-        let mut best_base: Option<(f64, f64, f64, mdm_obs::Snapshot)> = None;
-        let mut best_traced: Option<(f64, f64, f64, mdm_obs::Snapshot)> = None;
-        for _ in 0..2 {
-            let b = trace_sweep(clients, ops_per_client, None);
-            if best_base.as_ref().is_none_or(|x| b.0 > x.0) {
-                best_base = Some(b);
-            }
-            let t = trace_sweep(clients, ops_per_client, Some(mdm_obs::DEFAULT_SAMPLE_EVERY));
-            if best_traced.as_ref().is_none_or(|x| t.0 > x.0) {
-                best_traced = Some(t);
-            }
-        }
-        let (base_ps, base_p50, base_p99, _) = best_base.expect("two rounds ran");
-        let (traced_ps, traced_p50, traced_p99, snap) = best_traced.expect("two rounds ran");
-        let overhead_pct = if base_ps > 0.0 {
-            (base_ps - traced_ps) / base_ps * 100.0
-        } else {
-            0.0
-        };
-        if i > 0 {
-            runs.push(',');
-        }
-        runs.push_str(&format!(
-            "{{\"clients\":{clients},\
-             \"untraced_requests_per_sec\":{base_ps:.1},\
-             \"traced_requests_per_sec\":{traced_ps:.1},\
-             \"overhead_pct\":{overhead_pct:.2},\
-             \"untraced_p50_micros\":{base_p50:.1},\"untraced_p99_micros\":{base_p99:.1},\
-             \"traced_p50_micros\":{traced_p50:.1},\"traced_p99_micros\":{traced_p99:.1}}}"
-        ));
-        last_traced_snapshot = Some(snap);
+        let us = |samples: &[u64], q| (percentile(samples, q) as f64 / 1e3).into();
+        let mut fields = vec![("clients", clients.into())];
+        fields.extend(paired.fields("untraced_requests_per_sec", "traced_requests_per_sec"));
+        fields.extend([
+            ("untraced_p50_micros", us(&untraced, 0.50)),
+            ("untraced_p99_micros", us(&untraced, 0.99)),
+            ("traced_p50_micros", us(&traced, 0.50)),
+            ("traced_p99_micros", us(&traced, 0.99)),
+        ]);
+        runs.push(Json::Obj(fields));
+        let (_, gated) = paired.into_gated_round();
+        snapshot = Some(gated.2);
     }
-    format!(
-        "{{\"bench\":\"e4_trace_overhead\",\"ops_per_client\":{ops_per_client},\
-         \"sample_every\":{},\"runs\":[{runs}],\"server_metrics\":{}}}\n",
-        mdm_obs::DEFAULT_SAMPLE_EVERY,
-        last_traced_snapshot
-            .expect("at least one client count")
-            .to_json()
-    )
-}
-
-/// Validates a `trace_bench_json` document: well-formed JSON, paired
-/// traced/untraced throughput per run, and evidence in the embedded
-/// snapshot that the traced sweep actually recorded traces.
-fn validate_trace_bench_json(doc: &str) -> Result<(), String> {
-    use mdm_obs::json::{parse, Value};
-    let v = parse(doc).map_err(|e| e.to_string())?;
-    let runs = v
-        .get("runs")
-        .and_then(Value::as_array)
-        .ok_or("missing runs array")?;
-    if runs.is_empty() {
-        return Err("runs array is empty".into());
-    }
-    for run in runs {
-        run.get("clients")
-            .and_then(Value::as_u64)
-            .ok_or("run is missing clients")?;
-        for key in [
-            "untraced_requests_per_sec",
-            "traced_requests_per_sec",
-            "overhead_pct",
-            "untraced_p50_micros",
-            "untraced_p99_micros",
-            "traced_p50_micros",
-            "traced_p99_micros",
-        ] {
-            if !matches!(run.get(key), Some(Value::Number(_))) {
-                return Err(format!("run is missing {key}"));
-            }
-        }
-    }
-    let metrics = v
-        .get("server_metrics")
-        .and_then(|m| m.get("metrics"))
-        .and_then(Value::as_array)
-        .ok_or("missing server_metrics.metrics array")?;
-    let recorded = metrics
-        .iter()
-        .find(|m| m.get("name").and_then(Value::as_str) == Some("mdm_trace_recorded_total"))
-        .ok_or("mdm_trace_recorded_total missing from snapshot")?;
-    if recorded.get("value").and_then(Value::as_u64) == Some(0) {
-        return Err("traced sweep recorded zero traces".into());
-    }
-    Ok(())
+    Json::obj([
+        ("bench", "e4_trace_overhead".into()),
+        ("ops_per_client", ops_per_client.into()),
+        ("rounds", rounds.into()),
+        ("sample_every", mdm_obs::DEFAULT_SAMPLE_EVERY.into()),
+        ("runs", Json::Arr(runs)),
+        (
+            "server_metrics",
+            snapshot.as_ref().expect("a client count").into(),
+        ),
+    ])
 }
 
 /// The CI tracing smoke: one traced QUEL `execute` end-to-end over
@@ -1369,13 +958,12 @@ fn validate_trace_bench_json(doc: &str) -> Result<(), String> {
 /// three child spans and whose tree spans net → quel → storage, with a
 /// Chrome trace-event export our own JSON parser accepts.
 fn trace_smoke() -> Result<String, String> {
-    use mdm_net::{ClientConfig, MdmClient, MdmServer, ServerConfig, TraceOp};
+    use mdm_net::TraceOp;
     use mdm_obs::json::{parse, Value};
-    let started = std::time::Instant::now();
+    let started = Instant::now();
 
-    let dir = std::env::temp_dir().join(format!("mdm-repro-trace-smoke-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    let mdm = MusicDataManager::open(&dir).map_err(|e| format!("open: {e}"))?;
+    let dir = ScratchDir::new("trace-smoke");
+    let mdm = MusicDataManager::open(dir.path()).map_err(|e| format!("open: {e}"))?;
     let server = MdmServer::start(mdm, "127.0.0.1:0", ServerConfig::default())
         .map_err(|e| format!("start: {e}"))?;
     let mut c = MdmClient::connect(&server.local_addr().to_string(), ClientConfig::default())
@@ -1452,9 +1040,7 @@ fn trace_smoke() -> Result<String, String> {
     }
 
     drop(c);
-    let mdm = server.shutdown().map_err(|e| format!("shutdown: {e}"))?;
-    drop(mdm);
-    std::fs::remove_dir_all(&dir).ok();
+    server.shutdown().map_err(|e| format!("shutdown: {e}"))?;
     Ok(format!(
         "trace smoke: ok — traced execute produced a {}-span tree \
          (net → quel → storage) with a parseable Chrome export in {:.2}s",
@@ -1463,22 +1049,59 @@ fn trace_smoke() -> Result<String, String> {
     ))
 }
 
-/// The E6 secondary-index sweep: one chord/note fixture
-/// (`chords × notes_per_chord` notes, §5.6 shape), three probe
-/// queries — an equality probe, a range probe, and an
+/// E5, `BENCH_5.json`: the crash-point torture sweep — the boundary
+/// census from the clean run, the distinct crash states explored,
+/// reopen (recovery) latency quantiles, every invariant violation
+/// verbatim, and the `mdm_fault_*` metric snapshot.
+fn crash_torture(cfg: &mdm_storage::TortureConfig) -> Json {
+    let dir = ScratchDir::new("torture");
+    let registry = mdm_obs::Registry::new();
+    let report = mdm_storage::crash_point_sweep(dir.path(), cfg, &registry);
+    Json::obj([
+        ("bench", "e5_crash_torture".into()),
+        (
+            "config",
+            Json::obj([
+                ("rounds", cfg.rounds.into()),
+                ("pool_pages", cfg.pool_pages.into()),
+                ("stride", cfg.stride.into()),
+                ("torn_writes", cfg.torn_writes.into()),
+            ]),
+        ),
+        ("boundaries", report.boundaries.into()),
+        ("writes", report.writes.into()),
+        ("syncs", report.syncs.into()),
+        ("crash_points", report.crash_points.into()),
+        ("reopen_p50_micros", report.reopen_percentile(0.50).into()),
+        ("reopen_p99_micros", report.reopen_percentile(0.99).into()),
+        ("reopen_mean_micros", report.reopen_mean().into()),
+        (
+            "violations",
+            Json::Arr(
+                report
+                    .violations
+                    .iter()
+                    .map(|v| v.as_str().into())
+                    .collect(),
+            ),
+        ),
+        ("fault_metrics", (&registry.snapshot()).into()),
+    ])
+}
+
+/// E6, `BENCH_6.json`: the secondary-index sweep. One chord/note
+/// fixture (`chords × notes_per_chord` notes, §5.6 shape) and three
+/// probe queries — an equality probe, a range probe, and an
 /// ordering-derived `under` — each EXPLAINed before and after
-/// `define index`. Per query the document records the access paths
-/// the planner chose, the tuples fetched, and the wall time for both
-/// plans; the QUEL pipeline's metric snapshot is embedded so the
-/// `mdm_quel_rows_scanned_total` trajectory backs the per-run deltas.
-/// Indexed and scan plans must return identical tables — the sweep
-/// panics otherwise, because a fast wrong plan is not a result.
-fn index_bench_json(chords: usize, notes_per_chord: usize) -> String {
+/// `define index`. Per query: the access paths chosen, tuples fetched
+/// and wall time for both plans, with the QUEL pipeline's metrics
+/// embedded. Indexed and scan plans must return identical tables; the
+/// sweep panics otherwise, because a fast wrong plan is not a result.
+fn index_planner(chords: usize, notes_per_chord: usize) -> Json {
     let registry = mdm_obs::Registry::new();
     let mut session = Session::with_metrics(mdm_lang::QuelMetrics::register(&registry));
     let mut db = workload::chord_database(chords, notes_per_chord);
     let notes = chords * notes_per_chord;
-    let entities = notes + chords;
     let mid_note = (notes / 2) as i64;
     let mid_chord = (chords / 2) as i64;
     let queries = [
@@ -1501,14 +1124,14 @@ fn index_bench_json(chords: usize, notes_per_chord: usize) -> String {
             ),
         ),
     ];
+    let mut explain = |db: &Database, name: &str, q: &str| {
+        let started = Instant::now();
+        let (ex, table) = session.explain(db, q).expect(name);
+        (ex, table, started.elapsed())
+    };
 
     // Scan phase: no indexes defined yet, every variable full-scans.
-    let mut scans = Vec::new();
-    for (name, q) in &queries {
-        let started = std::time::Instant::now();
-        let (ex, table) = session.explain(&db, q).expect(name);
-        scans.push((ex, table, started.elapsed()));
-    }
+    let scans: Vec<_> = queries.iter().map(|(n, q)| explain(&db, n, q)).collect();
     session
         .execute(
             &mut db,
@@ -1517,134 +1140,55 @@ fn index_bench_json(chords: usize, notes_per_chord: usize) -> String {
         )
         .expect("define indexes");
 
-    let mut runs = String::new();
-    for (i, (name, q)) in queries.iter().enumerate() {
-        let started = std::time::Instant::now();
+    let mut runs = Vec::new();
+    for ((name, q), (scan_ex, scan_table, scan_elapsed)) in queries.iter().zip(&scans) {
+        let started = Instant::now();
         let (ex, table) = session.explain(&db, q).expect(name);
         let indexed_elapsed = started.elapsed();
-        let (scan_ex, scan_table, scan_elapsed) = &scans[i];
         assert_eq!(
             &table, scan_table,
             "indexed and scan plans must agree for {name}"
         );
-        let paths = ex
-            .vars
-            .iter()
-            .map(|v| format!("\"{}\"", json_escape(&v.path)))
-            .collect::<Vec<_>>()
-            .join(",");
-        let reduction = scan_ex.rows_scanned as f64 / ex.rows_scanned.max(1) as f64;
-        let speedup = scan_elapsed.as_secs_f64() / indexed_elapsed.as_secs_f64().max(1e-9);
-        if i > 0 {
-            runs.push(',');
-        }
-        runs.push_str(&format!(
-            "{{\"query\":\"{name}\",\"rows\":{},\
-             \"scan_rows_scanned\":{},\"scan_micros\":{},\
-             \"indexed_rows_scanned\":{},\"indexed_micros\":{},\
-             \"indexed_paths\":[{paths}],\
-             \"scanned_reduction\":{reduction:.1},\"speedup\":{speedup:.2}}}",
-            table.rows.len(),
-            scan_ex.rows_scanned,
-            scan_elapsed.as_micros(),
-            ex.rows_scanned,
-            indexed_elapsed.as_micros(),
-        ));
+        let paths = ex.vars.iter().map(|v| v.path.as_str().into()).collect();
+        runs.push(Json::obj([
+            ("query", (*name).into()),
+            ("rows", table.rows.len().into()),
+            ("scan_rows_scanned", scan_ex.rows_scanned.into()),
+            ("scan_micros", (scan_elapsed.as_micros() as u64).into()),
+            ("indexed_rows_scanned", ex.rows_scanned.into()),
+            (
+                "indexed_micros",
+                (indexed_elapsed.as_micros() as u64).into(),
+            ),
+            ("indexed_paths", Json::Arr(paths)),
+            (
+                "scanned_reduction",
+                (scan_ex.rows_scanned as f64 / ex.rows_scanned.max(1) as f64).into(),
+            ),
+            (
+                "speedup",
+                (scan_elapsed.as_secs_f64() / indexed_elapsed.as_secs_f64().max(1e-9)).into(),
+            ),
+        ]));
     }
-    format!(
-        "{{\"bench\":\"e6_index_planner\",\"entities\":{entities},\
-         \"chords\":{chords},\"notes_per_chord\":{notes_per_chord},\
-         \"runs\":[{runs}],\"quel_metrics\":{}}}\n",
-        registry.snapshot().to_json()
-    )
-}
-
-/// Validates an `index_bench_json` document: well-formed JSON, a run
-/// per probe query, at least one non-scan access path per run, the
-/// scanned-tuple reduction at or above `min_reduction`, and the QUEL
-/// pipeline counters present in the embedded snapshot.
-fn validate_index_bench_json(doc: &str, min_reduction: f64) -> Result<(), String> {
-    use mdm_obs::json::{parse, Value};
-    let v = parse(doc).map_err(|e| e.to_string())?;
-    v.get("entities")
-        .and_then(Value::as_u64)
-        .ok_or("missing entities count")?;
-    let runs = v
-        .get("runs")
-        .and_then(Value::as_array)
-        .ok_or("missing runs array")?;
-    if runs.len() < 3 {
-        return Err(format!("expected 3 probe runs, found {}", runs.len()));
-    }
-    for run in runs {
-        let name = run
-            .get("query")
-            .and_then(Value::as_str)
-            .ok_or("run is missing query name")?;
-        for key in [
-            "rows",
-            "scan_rows_scanned",
-            "scan_micros",
-            "indexed_rows_scanned",
-            "indexed_micros",
-        ] {
-            run.get(key)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("run {name} is missing integer field {key}"))?;
-        }
-        let paths = run
-            .get("indexed_paths")
-            .and_then(Value::as_array)
-            .ok_or_else(|| format!("run {name} is missing indexed_paths"))?;
-        if !paths
-            .iter()
-            .any(|p| p.as_str().is_some_and(|p| p != "scan"))
-        {
-            return Err(format!("run {name} chose no non-scan access path"));
-        }
-        match run.get("scanned_reduction") {
-            Some(Value::Number(r)) if *r >= min_reduction => {}
-            Some(Value::Number(r)) => {
-                return Err(format!(
-                    "run {name} reduced tuple traffic only {r:.1}×, need ≥{min_reduction:.0}×"
-                ))
-            }
-            _ => return Err(format!("run {name} is missing scanned_reduction")),
-        }
-        if !matches!(run.get("speedup"), Some(Value::Number(_))) {
-            return Err(format!("run {name} is missing speedup"));
-        }
-    }
-    let metrics = v
-        .get("quel_metrics")
-        .and_then(|m| m.get("metrics"))
-        .and_then(Value::as_array)
-        .ok_or("missing quel_metrics.metrics array")?;
-    for required in [
-        "mdm_quel_rows_scanned_total",
-        "mdm_quel_rows_returned_total",
-        "mdm_quel_exec_micros",
-    ] {
-        if !metrics
-            .iter()
-            .any(|m| m.get("name").and_then(Value::as_str) == Some(required))
-        {
-            return Err(format!("metric {required} missing from snapshot"));
-        }
-    }
-    Ok(())
+    Json::obj([
+        ("bench", "e6_index_planner".into()),
+        ("entities", (notes + chords).into()),
+        ("chords", chords.into()),
+        ("notes_per_chord", notes_per_chord.into()),
+        ("runs", Json::Arr(runs)),
+        ("quel_metrics", (&registry.snapshot()).into()),
+    ])
 }
 
 /// The CI index smoke: on a small fixture, every probe query's indexed
 /// plan must pick a non-scan path, return rows identical to the scan
-/// plan (checked inside `index_bench_json`), and fetch strictly fewer
-/// tuples than the scan did — `min_reduction` just above 1 rather than
-/// the full bench's 50×, which a 2 460-entity fixture cannot reach on
-/// the ordering probe.
+/// plan (checked inside `index_planner`), and fetch fewer tuples than
+/// the scan did — at least 1.5× rather than the full bench's 50×, which
+/// a 2 460-entity fixture cannot reach on the ordering probe.
 fn index_smoke() -> Result<String, String> {
-    let started = std::time::Instant::now();
-    let doc = index_bench_json(60, 40);
-    validate_index_bench_json(&doc, 1.5)?;
+    let started = Instant::now();
+    write_document(&index_planner(60, 40), |d| validate::index_planner(d, 1.5))?;
     Ok(format!(
         "index smoke: ok — 3 probe queries planned onto index/ord paths, \
          scan-identical rows, validated JSON in {:.2}s",
@@ -1652,213 +1196,100 @@ fn index_smoke() -> Result<String, String> {
     ))
 }
 
-/// One loopback sweep at `clients` workers alternating QUEL appends
-/// with indexed-attribute retrieves, with the statement store recording
-/// (`enabled`) or bypassed. Returns `(requests_per_sec, server
-/// snapshot, distinct fingerprints recorded)`.
-fn stats_sweep(
-    clients: usize,
+/// The stats and monitor overhead benches' shared body. Per client
+/// count, `rounds` paired rounds of `append_or_probe` against a fresh
+/// `entity`, baseline then treated; `setup(m, treated)` prepares each
+/// server. Each run holds the median throughputs and the paired
+/// overheads (see `Paired::fields`), and under `count_keys` (treated,
+/// baseline) what `count` reads from the gated round's two runs: the
+/// evidence that the treatment ran only when on. Returns the runs and
+/// the last gated treated run's snapshot.
+fn overhead_runs(
+    client_counts: &[usize],
     ops_per_client: usize,
-    enabled: bool,
-) -> (f64, mdm_obs::Snapshot, usize) {
-    use mdm_net::{ClientConfig, MdmClient, MdmServer, ServerConfig};
-    let dir = std::env::temp_dir().join(format!(
-        "mdm-repro-stats-{clients}-{enabled}-{}",
-        std::process::id()
-    ));
-    std::fs::remove_dir_all(&dir).ok();
-    let mdm = MusicDataManager::open(&dir).expect("open MDM");
-    mdm.statement_store().set_enabled(enabled);
-    let server =
-        MdmServer::start(mdm, "127.0.0.1:0", ServerConfig::default()).expect("start server");
-    let addr = server.local_addr().to_string();
-    let mut seeder = MdmClient::connect(&addr, ClientConfig::default()).expect("seeder");
-    seeder
-        .execute("define entity STAT_ITEM (name = string, rank = integer)")
-        .expect("seed schema");
-    seeder.disconnect();
-
-    let started = std::time::Instant::now();
-    std::thread::scope(|scope| {
-        for worker in 0..clients {
-            let addr = addr.clone();
-            scope.spawn(move || {
-                let mut c = MdmClient::connect(
-                    &addr,
-                    ClientConfig {
-                        client_name: format!("stats-bench-{worker}"),
-                        ..ClientConfig::default()
+    rounds: usize,
+    entity: &str,
+    setup: impl Fn(&mut MusicDataManager, bool) -> ServerConfig,
+    count: impl Fn(&Sweep) -> u64,
+    count_keys: [&'static str; 2],
+) -> (Json, mdm_obs::Snapshot) {
+    let mut runs = Vec::new();
+    let mut snapshot = None;
+    for &clients in client_counts {
+        let paired = paired_rounds(
+            rounds,
+            |treated| {
+                let sweep = loopback_sweep(
+                    clients,
+                    ops_per_client,
+                    |m| {
+                        // Set up first: a bypassed statement store must
+                        // not record the seeding DDL either.
+                        let config = setup(m, treated);
+                        m.execute(&format!(
+                            "define entity {entity} (name = string, rank = integer)"
+                        ))
+                        .expect("seed schema");
+                        config
                     },
-                )
-                .expect("connect");
-                for op in 0..ops_per_client {
-                    if op % 2 == 0 {
-                        c.execute(&format!(
-                            "append to STAT_ITEM (name = \"w{worker}\", rank = {op})"
-                        ))
-                        .expect("append");
-                    } else {
-                        c.query(&format!(
-                            "range of s is STAT_ITEM\nretrieve (s.name) where s.rank = {op}"
-                        ))
-                        .expect("query");
-                    }
-                }
-            });
-        }
-    });
-    let elapsed = started.elapsed();
-    let per_sec = (clients * ops_per_client) as f64 / elapsed.as_secs_f64();
-    let mdm = server.shutdown().expect("shutdown");
-    let snap = mdm.metrics_snapshot();
-    let recorded = mdm.statement_top(64).rows.len();
-    drop(mdm);
-    std::fs::remove_dir_all(&dir).ok();
-    (per_sec, snap, recorded)
+                    |c, worker, op| append_or_probe(c, entity, worker, op),
+                );
+                (sweep.ops_per_sec(), count(&sweep), sweep.snapshot)
+            },
+            |run| run.0,
+        );
+        let mut fields = vec![("clients", clients.into())];
+        fields.extend(paired.fields("off_requests_per_sec", "on_requests_per_sec"));
+        let (off, on) = paired.into_gated_round();
+        fields.extend([(count_keys[0], on.1.into()), (count_keys[1], off.1.into())]);
+        runs.push(Json::Obj(fields));
+        snapshot = Some(on.2);
+    }
+    (Json::Arr(runs), snapshot.expect("a client count"))
 }
 
-/// The statement-statistics overhead axis: for each client count,
-/// sweeps with the store bypassed and recording in adjacent paired
-/// rounds, and reports the round with the smallest paired overhead.
-/// Pairing matters: scheduler and frequency-scaling noise is
-/// correlated within a round and cancels in the off/on ratio, where
-/// best-of-per-condition across rounds would compare throughputs taken
-/// minutes of machine-state apart. The acceptance bar — enforced by
-/// `validate_stats_bench_json` — is recording within 5% of bypassed
-/// throughput.
-fn stats_bench_json(client_counts: &[usize], ops_per_client: usize, rounds: usize) -> String {
-    let mut runs = String::new();
-    let mut last_snapshot = None;
-    for (i, &clients) in client_counts.iter().enumerate() {
-        // (off req/s, on req/s, on-round snapshot, on recorded, off recorded)
-        let mut best: Option<(f64, f64, mdm_obs::Snapshot, usize, usize)> = None;
-        for _ in 0..rounds {
-            let (off_ps, _, off_recorded) = stats_sweep(clients, ops_per_client, false);
-            let (on_ps, snap, on_recorded) = stats_sweep(clients, ops_per_client, true);
-            let paired = (off_ps - on_ps) / off_ps.max(1.0);
-            let keep = best
-                .as_ref()
-                .is_none_or(|(boff, bon, ..)| paired < (boff - bon) / boff.max(1.0));
-            if keep {
-                best = Some((off_ps, on_ps, snap, on_recorded, off_recorded));
-            }
-        }
-        let (off_ps, on_ps, snap, on_recorded, off_recorded) = best.expect("rounds ran");
-        let overhead_pct = if off_ps > 0.0 {
-            (off_ps - on_ps) / off_ps * 100.0
-        } else {
-            0.0
-        };
-        if i > 0 {
-            runs.push(',');
-        }
-        runs.push_str(&format!(
-            "{{\"clients\":{clients},\
-             \"off_requests_per_sec\":{off_ps:.1},\
-             \"on_requests_per_sec\":{on_ps:.1},\
-             \"overhead_pct\":{overhead_pct:.2},\
-             \"statements_recorded\":{on_recorded},\
-             \"statements_recorded_off\":{off_recorded}}}"
-        ));
-        last_snapshot = Some(snap);
-    }
-    format!(
-        "{{\"bench\":\"e7_stats_overhead\",\"ops_per_client\":{ops_per_client},\
-         \"rounds\":{rounds},\"runs\":[{runs}],\"server_metrics\":{}}}\n",
-        last_snapshot.expect("at least one client count").to_json()
-    )
-}
-
-/// Validates a `stats_bench_json` document: well-formed JSON, paired
-/// recording/bypassed throughput per run with overhead at or below
-/// `max_overhead_pct`, statements actually recorded (and none while
-/// bypassed), and the planner path counters present in the embedded
-/// server snapshot with the scan path exercised.
-fn validate_stats_bench_json(doc: &str, max_overhead_pct: f64) -> Result<(), String> {
-    use mdm_obs::json::{parse, Value};
-    let v = parse(doc).map_err(|e| e.to_string())?;
-    let runs = v
-        .get("runs")
-        .and_then(Value::as_array)
-        .ok_or("missing runs array")?;
-    if runs.is_empty() {
-        return Err("runs array is empty".into());
-    }
-    for run in runs {
-        let clients = run
-            .get("clients")
-            .and_then(Value::as_u64)
-            .ok_or("run is missing clients")?;
-        for key in ["off_requests_per_sec", "on_requests_per_sec"] {
-            if !matches!(run.get(key), Some(Value::Number(_))) {
-                return Err(format!("run is missing {key}"));
-            }
-        }
-        match run.get("overhead_pct") {
-            Some(Value::Number(o)) if *o <= max_overhead_pct => {}
-            Some(Value::Number(o)) => {
-                return Err(format!(
-                    "{clients}-client recording costs {o:.2}% throughput, \
-                     budget is {max_overhead_pct}%"
-                ))
-            }
-            _ => return Err("run is missing overhead_pct".into()),
-        }
-        let recorded = run
-            .get("statements_recorded")
-            .and_then(Value::as_u64)
-            .ok_or("run is missing statements_recorded")?;
-        if recorded < 2 {
-            return Err(format!(
-                "recording run captured only {recorded} distinct statements"
-            ));
-        }
-        if run.get("statements_recorded_off").and_then(Value::as_u64) != Some(0) {
-            return Err("bypassed run must record nothing".into());
-        }
-    }
-    let metrics = v
-        .get("server_metrics")
-        .and_then(|m| m.get("metrics"))
-        .and_then(Value::as_array)
-        .ok_or("missing server_metrics.metrics array")?;
-    for required in ["mdm_quel_plan_total", "mdm_net_requests_total"] {
-        if !metrics
-            .iter()
-            .any(|m| m.get("name").and_then(Value::as_str) == Some(required))
-        {
-            return Err(format!("metric {required} missing from snapshot"));
-        }
-    }
-    let scan_chosen = metrics.iter().any(|m| {
-        m.get("name").and_then(Value::as_str) == Some("mdm_quel_plan_total")
-            && m.get("labels")
-                .and_then(|l| l.get("path"))
-                .and_then(Value::as_str)
-                == Some("scan")
-            && m.get("value").and_then(Value::as_u64).unwrap_or(0) > 0
-    });
-    if !scan_chosen {
-        return Err("mdm_quel_plan_total{path=scan} never incremented".into());
-    }
-    Ok(())
+/// E7, `BENCH_7.json`: statement-statistics overhead, from
+/// `overhead_runs` with the statement store bypassed and then
+/// recording. Throughputs are the rounds' medians. `overhead_pct` is
+/// the smallest round's paired overhead, the statistic the ≤5% gate
+/// tests, recorded beside the median and every round; the statement
+/// counts and the embedded snapshot come from that same round.
+/// Documents written before the shared harness recorded only that
+/// round.
+fn stats_overhead(client_counts: &[usize], ops_per_client: usize, rounds: usize) -> Json {
+    let (runs, snapshot) = overhead_runs(
+        client_counts,
+        ops_per_client,
+        rounds,
+        "STAT_ITEM",
+        |m, recording| {
+            m.statement_store().set_enabled(recording);
+            ServerConfig::default()
+        },
+        |sweep| sweep.mdm.statement_top(64).rows.len() as u64,
+        ["statements_recorded", "statements_recorded_off"],
+    );
+    Json::obj([
+        ("bench", "e7_stats_overhead".into()),
+        ("ops_per_client", ops_per_client.into()),
+        ("rounds", rounds.into()),
+        ("runs", runs),
+        ("server_metrics", (&snapshot).into()),
+    ])
 }
 
 /// The CI statement-statistics smoke: a scaled-down overhead sweep with
-/// a generous noise budget, then a live `$statements` retrieve and a
-/// `Top` request over loopback — the introspection surface end to end.
+/// a generous noise budget (the real 5% gate is `stats-bench`), then a
+/// live `$statements` retrieve and a `Top` request over loopback — the
+/// introspection surface end to end.
 fn stats_smoke() -> Result<String, String> {
-    use mdm_net::{ClientConfig, MdmClient, MdmServer, ServerConfig};
-    let started = std::time::Instant::now();
-    // Scaled down from the full bench but not so far that scheduler
-    // noise dominates the short measured sections; the budget here is a
-    // sanity bound, the real 5% gate is `stats-bench`.
-    let doc = stats_bench_json(&[1, 2], 150, 3);
-    validate_stats_bench_json(&doc, 30.0)?;
+    let started = Instant::now();
+    write_document(&stats_overhead(&[1, 2], 150, 3), |d| {
+        validate::stats_overhead(d, 30.0)
+    })?;
 
-    let dir = std::env::temp_dir().join(format!("mdm-repro-stats-smoke-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    let mdm = MusicDataManager::open(&dir).map_err(|e| format!("open: {e}"))?;
+    let dir = ScratchDir::new("stats-smoke");
+    let mdm = MusicDataManager::open(dir.path()).map_err(|e| format!("open: {e}"))?;
     let server = MdmServer::start(mdm, "127.0.0.1:0", ServerConfig::default())
         .map_err(|e| format!("start: {e}"))?;
     let mut c = MdmClient::connect(&server.local_addr().to_string(), ClientConfig::default())
@@ -1888,9 +1319,7 @@ fn stats_smoke() -> Result<String, String> {
         return Err("Top returned no statements".into());
     }
     drop(c);
-    let mdm = server.shutdown().map_err(|e| format!("shutdown: {e}"))?;
-    drop(mdm);
-    std::fs::remove_dir_all(&dir).ok();
+    server.shutdown().map_err(|e| format!("shutdown: {e}"))?;
     Ok(format!(
         "stats smoke: ok — validated 2-point overhead sweep, live \
          $statements retrieve and Top over loopback in {:.2}s",
@@ -1898,203 +1327,44 @@ fn stats_smoke() -> Result<String, String> {
     ))
 }
 
-/// One loopback sweep at `clients` workers alternating QUEL appends
-/// with reads, with the continuous monitor either passive (`sampling =
-/// false`: a zero interval, so the sampler thread never starts) or
-/// sampling every 10 ms — two orders of magnitude hotter than the 1 s
-/// production default, so the measured overhead is an upper bound on
-/// what a deployed server pays. Returns `(requests_per_sec,
-/// samples_taken, server snapshot)`.
-fn obs_sweep(
-    clients: usize,
-    ops_per_client: usize,
-    sampling: bool,
-) -> (f64, u64, mdm_obs::Snapshot) {
-    use mdm_net::{ClientConfig, MdmClient, MdmServer, ServerConfig};
-    let dir = std::env::temp_dir().join(format!(
-        "mdm-repro-obs-{clients}-{sampling}-{}",
-        std::process::id()
-    ));
-    std::fs::remove_dir_all(&dir).ok();
-    let mdm = MusicDataManager::open(&dir).expect("open MDM");
-    let cfg = ServerConfig {
-        sample_interval: if sampling {
-            std::time::Duration::from_millis(10)
-        } else {
-            std::time::Duration::ZERO
+/// E9, `BENCH_9.json`: continuous-monitoring overhead, from
+/// `overhead_runs` with the monitor passive (a zero interval: the
+/// sampler thread never starts) and then sampling every 10 ms — 100×
+/// the 1 s production default, so the overhead is an upper bound on
+/// what a deployed server pays. Reported as in `stats_overhead`;
+/// `overhead_pct` is what the ≤2% gate tests.
+fn monitor_overhead(client_counts: &[usize], ops_per_client: usize, rounds: usize) -> Json {
+    let (runs, snapshot) = overhead_runs(
+        client_counts,
+        ops_per_client,
+        rounds,
+        "OBS_ITEM",
+        |_, sampling| ServerConfig {
+            sample_interval: match sampling {
+                true => std::time::Duration::from_millis(10),
+                false => std::time::Duration::ZERO,
+            },
+            ..ServerConfig::default()
         },
-        ..ServerConfig::default()
-    };
-    let server = MdmServer::start(mdm, "127.0.0.1:0", cfg).expect("start server");
-    let addr = server.local_addr().to_string();
-    let mut seeder = MdmClient::connect(&addr, ClientConfig::default()).expect("seeder");
-    seeder
-        .execute("define entity OBS_ITEM (name = string, rank = integer)")
-        .expect("seed schema");
-    seeder.disconnect();
-
-    let started = std::time::Instant::now();
-    std::thread::scope(|scope| {
-        for worker in 0..clients {
-            let addr = addr.clone();
-            scope.spawn(move || {
-                let mut c = MdmClient::connect(
-                    &addr,
-                    ClientConfig {
-                        client_name: format!("obs-bench-{worker}"),
-                        ..ClientConfig::default()
-                    },
-                )
-                .expect("connect");
-                for op in 0..ops_per_client {
-                    if op % 2 == 0 {
-                        c.execute(&format!(
-                            "append to OBS_ITEM (name = \"w{worker}\", rank = {op})"
-                        ))
-                        .expect("append");
-                    } else {
-                        c.query(&format!(
-                            "range of s is OBS_ITEM\nretrieve (s.name) where s.rank = {op}"
-                        ))
-                        .expect("query");
-                    }
-                }
-            });
-        }
-    });
-    let elapsed = started.elapsed();
-    let per_sec = (clients * ops_per_client) as f64 / elapsed.as_secs_f64();
-    let mdm = server.shutdown().expect("shutdown");
-    let snap = mdm.metrics_snapshot();
-    let samples = snap.counter("mdm_monitor_samples_total").unwrap_or(0);
-    drop(mdm);
-    std::fs::remove_dir_all(&dir).ok();
-    (per_sec, samples, snap)
-}
-
-/// The continuous-monitoring overhead axis: for each client count,
-/// sweeps with the monitor passive and sampling at 10 ms in adjacent
-/// paired rounds, reporting the round with the smallest paired
-/// overhead (see `stats_bench_json` for why pairing beats
-/// best-of-per-condition). The acceptance bar — enforced by
-/// `validate_obs_bench_json` — is sampling within 2% of passive
-/// throughput, with the sampler demonstrably live when on and
-/// demonstrably absent when off.
-fn obs_bench_json(client_counts: &[usize], ops_per_client: usize, rounds: usize) -> String {
-    let mut runs = String::new();
-    let mut last_snapshot = None;
-    for (i, &clients) in client_counts.iter().enumerate() {
-        // (off req/s, on req/s, samples on, samples off, on-round snapshot)
-        let mut best: Option<(f64, f64, u64, u64, mdm_obs::Snapshot)> = None;
-        for _ in 0..rounds {
-            let (off_ps, off_samples, _) = obs_sweep(clients, ops_per_client, false);
-            let (on_ps, on_samples, snap) = obs_sweep(clients, ops_per_client, true);
-            let paired = (off_ps - on_ps) / off_ps.max(1.0);
-            let keep = best
-                .as_ref()
-                .is_none_or(|(boff, bon, ..)| paired < (boff - bon) / boff.max(1.0));
-            if keep {
-                best = Some((off_ps, on_ps, on_samples, off_samples, snap));
-            }
-        }
-        let (off_ps, on_ps, on_samples, off_samples, snap) = best.expect("rounds ran");
-        let overhead_pct = if off_ps > 0.0 {
-            (off_ps - on_ps) / off_ps * 100.0
-        } else {
-            0.0
-        };
-        if i > 0 {
-            runs.push(',');
-        }
-        runs.push_str(&format!(
-            "{{\"clients\":{clients},\
-             \"off_requests_per_sec\":{off_ps:.1},\
-             \"on_requests_per_sec\":{on_ps:.1},\
-             \"overhead_pct\":{overhead_pct:.2},\
-             \"samples\":{on_samples},\
-             \"samples_off\":{off_samples}}}"
-        ));
-        last_snapshot = Some(snap);
-    }
-    format!(
-        "{{\"bench\":\"e9_monitor_overhead\",\"ops_per_client\":{ops_per_client},\
-         \"rounds\":{rounds},\"sample_interval_ms\":10,\"runs\":[{runs}],\
-         \"server_metrics\":{}}}\n",
-        last_snapshot.expect("at least one client count").to_json()
-    )
-}
-
-/// Validates an `obs_bench_json` document: well-formed JSON, paired
-/// sampling/passive throughput per run with overhead at or below
-/// `max_overhead_pct`, samples actually taken while on (and none while
-/// passive), and the monitor and process families present in the
-/// embedded server snapshot.
-fn validate_obs_bench_json(doc: &str, max_overhead_pct: f64) -> Result<(), String> {
-    use mdm_obs::json::{parse, Value};
-    let v = parse(doc).map_err(|e| e.to_string())?;
-    let runs = v
-        .get("runs")
-        .and_then(Value::as_array)
-        .ok_or("missing runs array")?;
-    if runs.is_empty() {
-        return Err("runs array is empty".into());
-    }
-    for run in runs {
-        let clients = run
-            .get("clients")
-            .and_then(Value::as_u64)
-            .ok_or("run is missing clients")?;
-        for key in ["off_requests_per_sec", "on_requests_per_sec"] {
-            if !matches!(run.get(key), Some(Value::Number(_))) {
-                return Err(format!("run is missing {key}"));
-            }
-        }
-        match run.get("overhead_pct") {
-            Some(Value::Number(o)) if *o <= max_overhead_pct => {}
-            Some(Value::Number(o)) => {
-                return Err(format!(
-                    "{clients}-client sampling costs {o:.2}% throughput, \
-                     budget is {max_overhead_pct}%"
-                ))
-            }
-            _ => return Err("run is missing overhead_pct".into()),
-        }
-        let samples = run
-            .get("samples")
-            .and_then(Value::as_u64)
-            .ok_or("run is missing samples")?;
-        if samples < 2 {
-            return Err(format!("sampling run took only {samples} samples"));
-        }
-        if run.get("samples_off").and_then(Value::as_u64) != Some(0) {
-            return Err("passive run must take no samples".into());
-        }
-    }
-    let metrics = v
-        .get("server_metrics")
-        .and_then(|m| m.get("metrics"))
-        .and_then(Value::as_array)
-        .ok_or("missing server_metrics.metrics array")?;
-    for required in [
-        "mdm_monitor_samples_total",
-        "mdm_process_resident_bytes",
-        "mdm_process_open_fds",
-        "mdm_process_threads",
-        "mdm_net_requests_total",
-    ] {
-        if !metrics
-            .iter()
-            .any(|m| m.get("name").and_then(Value::as_str) == Some(required))
-        {
-            return Err(format!("metric {required} missing from snapshot"));
-        }
-    }
-    Ok(())
+        |sweep| {
+            let samples = sweep.snapshot.counter("mdm_monitor_samples_total");
+            samples.unwrap_or(0)
+        },
+        ["samples", "samples_off"],
+    );
+    Json::obj([
+        ("bench", "e9_monitor_overhead".into()),
+        ("ops_per_client", ops_per_client.into()),
+        ("rounds", rounds.into()),
+        ("sample_interval_ms", 10usize.into()),
+        ("runs", runs),
+        ("server_metrics", (&snapshot).into()),
+    ])
 }
 
 /// One `GET` against a std-only observability endpoint, returning
 /// `(status, body)`.
-fn obs_http_get(addr: std::net::SocketAddr, target: &str) -> Result<(u16, String), String> {
+fn http_get(addr: std::net::SocketAddr, target: &str) -> Result<(u16, String), String> {
     use std::io::{Read, Write};
     let mut stream = std::net::TcpStream::connect(addr).map_err(|e| format!("connect: {e}"))?;
     stream
@@ -2118,15 +1388,15 @@ fn obs_http_get(addr: std::net::SocketAddr, target: &str) -> Result<(u16, String
 
 /// Polls `target` until it answers `want` (or the deadline passes),
 /// returning the last `(status, body)` seen.
-fn obs_wait_for_status(
+fn wait_for_status(
     addr: std::net::SocketAddr,
     target: &str,
     want: u16,
     deadline: std::time::Duration,
 ) -> Result<(u16, String), String> {
-    let start = std::time::Instant::now();
+    let start = Instant::now();
     loop {
-        let (status, body) = obs_http_get(addr, target)?;
+        let (status, body) = http_get(addr, target)?;
         if status == want || start.elapsed() > deadline {
             return Ok((status, body));
         }
@@ -2142,16 +1412,14 @@ fn obs_wait_for_status(
 /// validated overhead sweep; the budget here is a sanity bound, the
 /// real 2% gate is `obs-bench`.
 fn health_smoke() -> Result<String, String> {
-    use mdm_net::{ClientConfig, MdmClient, MdmServer, ServerConfig};
     use mdm_repl::{ReplicaConfig, ReplicaNode};
     use std::time::Duration;
     let deadline = Duration::from_secs(60);
-    let started = std::time::Instant::now();
+    let started = Instant::now();
 
-    let base = std::env::temp_dir().join(format!("mdm-repro-health-smoke-{}", std::process::id()));
-    std::fs::remove_dir_all(&base).ok();
-    let mdm =
-        MusicDataManager::open(&base.join("primary")).map_err(|e| format!("open primary: {e}"))?;
+    let base = ScratchDir::new("health-smoke");
+    let mdm = MusicDataManager::open(&base.path().join("primary"))
+        .map_err(|e| format!("open primary: {e}"))?;
     let pcfg = ServerConfig {
         http_addr: Some("127.0.0.1:0".into()),
         sample_interval: Duration::from_millis(25),
@@ -2171,7 +1439,7 @@ fn health_smoke() -> Result<String, String> {
     cfg.server.sample_interval = Duration::from_millis(25);
     cfg.lag_alert_bytes = 1;
     cfg.lag_alert_seconds = 0.5;
-    let node = ReplicaNode::start(&base.join("replica"), "127.0.0.1:0", cfg)
+    let node = ReplicaNode::start(&base.path().join("replica"), "127.0.0.1:0", cfg)
         .map_err(|e| format!("replica start: {e}"))?;
     let replica_http = node
         .server()
@@ -2182,8 +1450,7 @@ fn health_smoke() -> Result<String, String> {
     if !node.wait_for_lsn(target, Duration::from_secs(15)) {
         return Err(format!("replica stuck at lsn {}", node.applied_lsn()));
     }
-    let (status, body) =
-        obs_wait_for_status(replica_http, "/healthz", 200, Duration::from_secs(5))?;
+    let (status, body) = wait_for_status(replica_http, "/healthz", 200, Duration::from_secs(5))?;
     if status != 200 {
         return Err(format!("caught-up replica unhealthy ({status}): {body}"));
     }
@@ -2193,19 +1460,18 @@ fn health_smoke() -> Result<String, String> {
         pc.execute(&format!("append to HEALTH_ITEM (name = \"e{i}\")"))
             .map_err(|e| format!("primary append: {e}"))?;
     }
-    let (status, body) =
-        obs_wait_for_status(replica_http, "/healthz", 503, Duration::from_secs(15))?;
+    let (status, body) = wait_for_status(replica_http, "/healthz", 503, Duration::from_secs(15))?;
     if status != 503 {
         return Err(format!("lag alert never fired ({status}): {body}"));
     }
     if !body.contains("repl_lag_bytes_high") || !body.contains("\"state\":\"firing\"") {
         return Err(format!("503 body lacks the firing lag alert: {body}"));
     }
-    let (status, body) = obs_http_get(primary_http, "/statusz")?;
+    let (status, body) = http_get(primary_http, "/statusz")?;
     if status != 200 || !body.contains("\"role\": \"primary\"") {
         return Err(format!("primary /statusz wrong ({status}): {body}"));
     }
-    let (status, _) = obs_http_get(primary_http, "/healthz")?;
+    let (status, _) = http_get(primary_http, "/healthz")?;
     if status != 200 {
         return Err(format!("primary /healthz not 200 ({status})"));
     }
@@ -2215,8 +1481,7 @@ fn health_smoke() -> Result<String, String> {
     if !node.wait_for_lsn(target, Duration::from_secs(15)) {
         return Err(format!("replica never caught up to lsn {target}"));
     }
-    let (status, body) =
-        obs_wait_for_status(replica_http, "/healthz", 200, Duration::from_secs(15))?;
+    let (status, body) = wait_for_status(replica_http, "/healthz", 200, Duration::from_secs(15))?;
     if status != 200 {
         return Err(format!("replica never recovered ({status}): {body}"));
     }
@@ -2224,12 +1489,11 @@ fn health_smoke() -> Result<String, String> {
     drop(pc);
     node.shutdown()
         .map_err(|e| format!("replica shutdown: {e}"))?;
-    let mdm = server.shutdown().map_err(|e| format!("shutdown: {e}"))?;
-    drop(mdm);
-    std::fs::remove_dir_all(&base).ok();
+    server.shutdown().map_err(|e| format!("shutdown: {e}"))?;
 
-    let doc = obs_bench_json(&[1, 2], 150, 3);
-    validate_obs_bench_json(&doc, 30.0)?;
+    write_document(&monitor_overhead(&[1, 2], 150, 3), |d| {
+        validate::monitor_overhead(d, 30.0)
+    })?;
 
     let elapsed = started.elapsed();
     if elapsed > deadline {
@@ -2247,159 +1511,21 @@ fn health_smoke() -> Result<String, String> {
     ))
 }
 
-/// Escapes a string for embedding in a JSON document — violation
-/// messages quote row bodies via `Debug`, so they contain `"`.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// The E5 crash-point torture sweep as a JSON document: the boundary
-/// census from the clean run, the number of distinct crash states
-/// explored, reopen (recovery) latency quantiles, every invariant
-/// violation verbatim, and the `mdm_fault_*` metric snapshot. Returns
-/// the report too so the caller can gate its exit code on violations.
-fn torture_json(cfg: &mdm_storage::TortureConfig) -> (String, mdm_storage::TortureReport) {
-    let scratch = std::env::temp_dir().join(format!("mdm-repro-torture-{}", std::process::id()));
-    std::fs::remove_dir_all(&scratch).ok();
-    std::fs::create_dir_all(&scratch).expect("create scratch dir");
-    let registry = mdm_obs::Registry::new();
-    let report = mdm_storage::crash_point_sweep(&scratch, cfg, &registry);
-    std::fs::remove_dir_all(&scratch).ok();
-    let violations = report
-        .violations
-        .iter()
-        .map(|v| format!("\"{}\"", json_escape(v)))
-        .collect::<Vec<_>>()
-        .join(",");
-    let doc = format!(
-        "{{\"bench\":\"e5_crash_torture\",\
-         \"config\":{{\"rounds\":{},\"pool_pages\":{},\"stride\":{},\"torn_writes\":{}}},\
-         \"boundaries\":{},\"writes\":{},\"syncs\":{},\"crash_points\":{},\
-         \"reopen_p50_micros\":{},\"reopen_p99_micros\":{},\"reopen_mean_micros\":{},\
-         \"violations\":[{violations}],\"fault_metrics\":{}}}\n",
-        cfg.rounds,
-        cfg.pool_pages,
-        cfg.stride,
-        cfg.torn_writes,
-        report.boundaries,
-        report.writes,
-        report.syncs,
-        report.crash_points,
-        report.reopen_percentile(0.50),
-        report.reopen_percentile(0.99),
-        report.reopen_mean(),
-        registry.snapshot().to_json()
-    );
-    (doc, report)
-}
-
-/// Validates a `torture_json` document: well-formed JSON, the census and
-/// latency fields present, a violations array (empty or not), and every
-/// `mdm_fault_*` family in the embedded snapshot.
-fn validate_torture_json(doc: &str) -> Result<(), String> {
-    use mdm_obs::json::{parse, Value};
-    let v = parse(doc).map_err(|e| e.to_string())?;
-    for key in [
-        "boundaries",
-        "writes",
-        "syncs",
-        "crash_points",
-        "reopen_p50_micros",
-        "reopen_p99_micros",
-        "reopen_mean_micros",
-    ] {
-        v.get(key)
-            .and_then(Value::as_u64)
-            .ok_or_else(|| format!("missing integer field {key}"))?;
-    }
-    v.get("violations")
-        .and_then(Value::as_array)
-        .ok_or("missing violations array")?;
-    let metrics = v
-        .get("fault_metrics")
-        .and_then(|m| m.get("metrics"))
-        .and_then(Value::as_array)
-        .ok_or("missing fault_metrics.metrics array")?;
-    for required in [
-        "mdm_fault_ops_total",
-        "mdm_fault_injected_total",
-        "mdm_fault_crashes_total",
-        "mdm_fault_crash_points_total",
-        "mdm_fault_violations_total",
-        "mdm_fault_reopen_micros",
-    ] {
-        if !metrics
-            .iter()
-            .any(|m| m.get("name").and_then(Value::as_str) == Some(required))
-        {
-            return Err(format!("metric {required} missing from snapshot"));
-        }
-    }
-    Ok(())
-}
-
-/// The CI torture smoke: a strided crash-point sweep that must explore a
-/// healthy number of distinct crash states, find zero invariant
-/// violations, and emit a JSON document our own parser accepts.
-fn torture_smoke() -> Result<String, String> {
-    let started = std::time::Instant::now();
-    let (doc, report) = torture_json(&mdm_storage::TortureConfig::smoke());
-    validate_torture_json(&doc)?;
-    if report.crash_points < 10 {
-        return Err(format!(
-            "only {} crash points explored — the boundary census collapsed",
-            report.crash_points
-        ));
-    }
-    if !report.violations.is_empty() {
-        let sample: Vec<&String> = report.violations.iter().take(5).collect();
-        return Err(format!(
-            "{} invariant violation(s), e.g. {sample:?}",
-            report.violations.len()
-        ));
-    }
-    Ok(format!(
-        "torture smoke: ok — {} crash points over {} boundaries \
-         ({} writes, {} syncs), 0 violations, reopen p99 {}µs, in {:.1}s",
-        report.crash_points,
-        report.boundaries,
-        report.writes,
-        report.syncs,
-        report.reopen_percentile(0.99),
-        started.elapsed().as_secs_f64()
-    ))
-}
-
 /// One replication fan-out sweep: a primary under constant write load,
 /// `replicas` streaming replicas (0 = readers hit the primary), and
 /// `readers` concurrent QUEL readers spread round-robin over the read
 /// endpoints. Returns `(reads_per_sec, lag samples in records, writes
-/// completed, snapshot of the last replica — or the primary when 0)`.
+/// completed, snapshot of the first replica — or the primary when 0)`.
 fn repl_sweep(
     replicas: usize,
     readers: usize,
     reads_per_reader: usize,
 ) -> (f64, Vec<u64>, u64, mdm_obs::Snapshot) {
-    use mdm_net::{ClientConfig, MdmClient, MdmServer, ServerConfig};
     use mdm_repl::{ReplicaConfig, ReplicaNode};
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-    let base =
-        std::env::temp_dir().join(format!("mdm-repro-repl-{replicas}-{}", std::process::id()));
-    std::fs::remove_dir_all(&base).ok();
-    let mdm = MusicDataManager::open(&base.join("primary")).expect("open primary");
+    let base = ScratchDir::new("repl");
+    let mdm = MusicDataManager::open(&base.path().join("primary")).expect("open primary");
     let server =
         MdmServer::start(mdm, "127.0.0.1:0", ServerConfig::default()).expect("start server");
     let addr = server.local_addr().to_string();
@@ -2416,8 +1542,12 @@ fn repl_sweep(
         .map(|i| {
             let mut cfg = ReplicaConfig::new(&addr);
             cfg.replica_id = i as u64 + 1;
-            ReplicaNode::start(&base.join(format!("replica-{i}")), "127.0.0.1:0", cfg)
-                .expect("start replica")
+            ReplicaNode::start(
+                &base.path().join(format!("replica-{i}")),
+                "127.0.0.1:0",
+                cfg,
+            )
+            .expect("start replica")
         })
         .collect();
     let target = server.with_manager(|m| m.engine().wal_durable_lsn());
@@ -2436,9 +1566,8 @@ fn repl_sweep(
 
     let stop = AtomicBool::new(false);
     let writes = AtomicU64::new(0);
-    let mut lag_samples: Vec<u64> = Vec::new();
-    let started = std::time::Instant::now();
-    std::thread::scope(|scope| {
+    let started = Instant::now();
+    let lag_samples = std::thread::scope(|scope| {
         // Writer: keeps the primary's durable watermark moving so the
         // lag samples measure replication under load, not at rest.
         scope.spawn(|| {
@@ -2466,144 +1595,73 @@ fn repl_sweep(
             }
             samples
         });
-        let mut handles = Vec::new();
-        for r in 0..readers {
-            let target = read_addrs[r % read_addrs.len()].clone();
-            handles.push(scope.spawn(move || {
-                let mut c = MdmClient::connect(&target, ClientConfig::default()).expect("reader");
-                for _ in 0..reads_per_reader {
-                    let t = c
-                        .query("range of t is TUNE\nretrieve (t.title)")
-                        .expect("read");
-                    assert!(t.rows.len() >= 64, "reader saw a truncated fixture");
-                }
-            }));
-        }
+        let handles: Vec<_> = (0..readers)
+            .map(|r| {
+                let target = &read_addrs[r % read_addrs.len()];
+                scope.spawn(move || {
+                    let mut c =
+                        MdmClient::connect(target, ClientConfig::default()).expect("reader");
+                    for _ in 0..reads_per_reader {
+                        let t = c
+                            .query("range of t is TUNE\nretrieve (t.title)")
+                            .expect("read");
+                        assert!(t.rows.len() >= 64, "reader saw a truncated fixture");
+                    }
+                })
+            })
+            .collect();
         for h in handles {
             h.join().expect("reader thread");
         }
         stop.store(true, Ordering::Release);
-        lag_samples = sampler.join().expect("sampler thread");
+        sampler.join().expect("sampler thread")
     });
-    let elapsed = started.elapsed();
-    let reads = readers * reads_per_reader;
-    let per_sec = reads as f64 / elapsed.as_secs_f64();
-    let writes = writes.load(Ordering::Acquire);
+    let per_sec = (readers * reads_per_reader) as f64 / started.elapsed().as_secs_f64();
 
-    let snap = match nodes.is_empty() {
-        true => server.with_manager(|m| m.metrics_snapshot()),
-        false => nodes[0].server().with_manager(|m| m.metrics_snapshot()),
+    let snap = match nodes.first() {
+        None => server.with_manager(|m| m.metrics_snapshot()),
+        Some(node) => node.server().with_manager(|m| m.metrics_snapshot()),
     };
     for node in nodes {
         node.shutdown().expect("replica shutdown");
     }
     server.shutdown().expect("primary shutdown");
-    std::fs::remove_dir_all(&base).ok();
-    (per_sec, lag_samples, writes, snap)
+    (per_sec, lag_samples, writes.load(Ordering::Acquire), snap)
 }
 
-fn percentile(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
-/// The E8 replication fan-out sweep as a JSON document: read throughput
+/// E8, `BENCH_8.json`: the replication fan-out sweep. Read throughput
 /// per replica count (0 = all reads on the primary) under a constant
-/// primary write load, with replication-lag quantiles per topology and
-/// the last replica's metrics snapshot (`mdm_repl_*`) embedded.
-fn repl_bench_json(replica_counts: &[usize], readers: usize, reads_per_reader: usize) -> String {
-    let mut runs = String::new();
-    let mut last_snapshot = None;
-    for (i, &replicas) in replica_counts.iter().enumerate() {
-        let (per_sec, mut lags, writes, snap) = repl_sweep(replicas, readers, reads_per_reader);
-        lags.sort_unstable();
-        if i > 0 {
-            runs.push(',');
-        }
-        runs.push_str(&format!(
-            "{{\"replicas\":{replicas},\"readers\":{readers},\
-             \"reads\":{},\"reads_per_sec\":{per_sec:.1},\
-             \"writes_during\":{writes},\
-             \"lag_p50_records\":{},\"lag_p99_records\":{}}}",
-            readers * reads_per_reader,
-            percentile(&lags, 0.50),
-            percentile(&lags, 0.99),
-        ));
+/// primary write load, with replication-lag percentiles per topology —
+/// nearest rank; documents written before the shared harness rounded a
+/// fractional index instead — and the last replicated run's replica
+/// metrics (`mdm_repl_*`) embedded.
+fn repl_fanout(replica_counts: &[usize], readers: usize, reads_per_reader: usize) -> Json {
+    let mut runs = Vec::new();
+    let mut snapshot = None;
+    for &replicas in replica_counts {
+        let (per_sec, lags, writes, snap) = repl_sweep(replicas, readers, reads_per_reader);
+        runs.push(Json::obj([
+            ("replicas", replicas.into()),
+            ("readers", readers.into()),
+            ("reads", (readers * reads_per_reader).into()),
+            ("reads_per_sec", per_sec.into()),
+            ("writes_during", writes.into()),
+            ("lag_p50_records", percentile(&lags, 0.50).into()),
+            ("lag_p99_records", percentile(&lags, 0.99).into()),
+        ]));
         if replicas > 0 {
-            last_snapshot = Some(snap);
+            snapshot = Some(snap);
         }
     }
-    format!(
-        "{{\"bench\":\"e8_repl_fanout\",\"reads_per_reader\":{reads_per_reader},\
-         \"runs\":[{runs}],\"replica_metrics\":{}}}\n",
-        last_snapshot
-            .expect("at least one replicated run")
-            .to_json()
-    )
-}
-
-/// Validates a `repl_bench_json` document: well-formed JSON, runs with
-/// throughput and lag-quantile fields, and the `mdm_repl_*` families
-/// present — with real traffic — in the embedded replica snapshot.
-fn validate_repl_bench_json(doc: &str) -> Result<(), String> {
-    use mdm_obs::json::{parse, Value};
-    let v = parse(doc).map_err(|e| e.to_string())?;
-    let runs = v
-        .get("runs")
-        .and_then(Value::as_array)
-        .ok_or("missing runs array")?;
-    if runs.is_empty() {
-        return Err("runs array is empty".into());
-    }
-    for run in runs {
-        for key in [
-            "replicas",
-            "readers",
-            "reads",
-            "writes_during",
-            "lag_p50_records",
-            "lag_p99_records",
-        ] {
-            run.get(key)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("run is missing integer field {key}"))?;
-        }
-        if !matches!(run.get("reads_per_sec"), Some(Value::Number(_))) {
-            return Err("run is missing reads_per_sec".into());
-        }
-    }
-    let metrics = v
-        .get("replica_metrics")
-        .and_then(|m| m.get("metrics"))
-        .and_then(Value::as_array)
-        .ok_or("missing replica_metrics.metrics array")?;
-    for required in [
-        "mdm_repl_applied_lsn",
-        "mdm_repl_lag_bytes",
-        "mdm_repl_batches_total",
-        "mdm_repl_records_total",
-        "mdm_repl_statements_total",
-    ] {
-        if !metrics
-            .iter()
-            .any(|m| m.get("name").and_then(Value::as_str) == Some(required))
-        {
-            return Err(format!("metric {required} missing from snapshot"));
-        }
-    }
-    let applied = metrics
-        .iter()
-        .find(|m| m.get("name").and_then(Value::as_str) == Some("mdm_repl_records_total"))
-        .and_then(|m| m.get("value"))
-        .and_then(Value::as_u64)
-        .unwrap_or(0);
-    if applied == 0 {
-        return Err("replica snapshot shows zero replicated records".into());
-    }
-    Ok(())
+    Json::obj([
+        ("bench", "e8_repl_fanout".into()),
+        ("reads_per_reader", reads_per_reader.into()),
+        ("runs", Json::Arr(runs)),
+        (
+            "replica_metrics",
+            snapshot.as_ref().expect("a replicated run").into(),
+        ),
+    ])
 }
 
 /// The CI replication smoke: a primary and one replica over loopback.
@@ -2611,19 +1669,19 @@ fn validate_repl_bench_json(doc: &str) -> Result<(), String> {
 /// within the lag bound, the replica must refuse writes with the typed
 /// `ReadOnly` code, and a validated 1-replica mini-sweep must pass.
 fn repl_smoke() -> Result<String, String> {
-    use mdm_net::{ClientConfig, ErrorCode, MdmClient, MdmServer, NetError, ServerConfig};
+    use mdm_net::{ErrorCode, NetError};
     use mdm_repl::{ReplicaConfig, ReplicaNode};
     let deadline = std::time::Duration::from_secs(60);
-    let started = std::time::Instant::now();
+    let started = Instant::now();
 
-    let base = std::env::temp_dir().join(format!("mdm-repro-repl-smoke-{}", std::process::id()));
-    std::fs::remove_dir_all(&base).ok();
-    let mdm = MusicDataManager::open(&base.join("primary")).map_err(|e| format!("open: {e}"))?;
+    let base = ScratchDir::new("repl-smoke");
+    let mdm =
+        MusicDataManager::open(&base.path().join("primary")).map_err(|e| format!("open: {e}"))?;
     let server = MdmServer::start(mdm, "127.0.0.1:0", ServerConfig::default())
         .map_err(|e| format!("start: {e}"))?;
     let addr = server.local_addr().to_string();
     let node = ReplicaNode::start(
-        &base.join("replica"),
+        &base.path().join("replica"),
         "127.0.0.1:0",
         ReplicaConfig::new(&addr),
     )
@@ -2672,12 +1730,9 @@ fn repl_smoke() -> Result<String, String> {
     drop(rc);
     node.shutdown()
         .map_err(|e| format!("replica shutdown: {e}"))?;
-    let mdm = server.shutdown().map_err(|e| format!("shutdown: {e}"))?;
-    drop(mdm);
-    std::fs::remove_dir_all(&base).ok();
+    server.shutdown().map_err(|e| format!("shutdown: {e}"))?;
 
-    let doc = repl_bench_json(&[1], 2, 25);
-    validate_repl_bench_json(&doc)?;
+    write_document(&repl_fanout(&[1], 2, 25), validate::repl_fanout)?;
 
     let elapsed = started.elapsed();
     if elapsed > deadline {
@@ -2731,42 +1786,6 @@ fn replay_to(args: &[String]) -> Result<String, String> {
         src.display(),
         dest.display()
     ))
-}
-
-/// The four §5.6 example queries, executed verbatim.
-fn quel() -> String {
-    let mut db = workload::chord_database(3, 4);
-    let mut session = Session::new();
-    let mut out = String::new();
-    let queries = [
-        (
-            "notes prior to note 6 in its chord",
-            "range of n1, n2 is NOTE\nretrieve (n1.name) where n1 before n2 in note_in_chord and n2.name = 6",
-        ),
-        (
-            "notes that follow note 6",
-            "retrieve (n1.name) where n1 after n2 in note_in_chord and n2.name = 6",
-        ),
-        (
-            "notes under chord 2",
-            "range of c1 is CHORD\nretrieve (n1.name) where n1 under c1 in note_in_chord and c1.name = 2",
-        ),
-        (
-            "the parent chord of note 6",
-            "retrieve (c1.name) where n1 under c1 in note_in_chord and n1.name = 6",
-        ),
-    ];
-    for (label, q) in queries {
-        out.push_str(&format!("-- {label}\n{q}\n"));
-        let results = session.execute(&mut db, q).expect("query");
-        for r in results {
-            if let mdm_lang::StmtResult::Rows(t) = r {
-                out.push_str(&t.to_string());
-            }
-        }
-        out.push('\n');
-    }
-    out
 }
 
 /// One cell of the MVCC read sweep: `readers` read loops run for
@@ -2864,20 +1883,13 @@ fn mvcc_cell(
     )
 }
 
-/// The MVCC read sweep as a JSON document: at each reader count, the
-/// same scan loop measured under constant write load through the 2PL
-/// shared-lock path and through snapshot reads, plus the engine's
-/// `mdm_mvcc_*` metric snapshot so the version-chain and GC story rides
-/// along with the throughput it explains.
-fn mvcc_bench_json(
-    reader_counts: &[usize],
-    writers: usize,
-    rows: usize,
-    duration_ms: u64,
-) -> String {
-    let dir = std::env::temp_dir().join(format!("mdm-repro-mvcc-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    let eng = mdm_storage::StorageEngine::open_with_capacity(&dir, 256).expect("open");
+/// E10, `BENCH_10.json`: the MVCC read sweep. At each reader count the
+/// same scan loop runs under constant write load through the 2PL
+/// shared-lock path and then through snapshot reads; the engine's
+/// `mdm_mvcc_*` metrics ride along with the throughput they explain.
+fn mvcc_reads(reader_counts: &[usize], writers: usize, rows: usize, duration_ms: u64) -> Json {
+    let dir = ScratchDir::new("mvcc");
+    let eng = mdm_storage::StorageEngine::open_with_capacity(dir.path(), 256).expect("open");
     let table = eng.create_table("bank").expect("table");
     let mut seed = eng.begin().expect("begin");
     let rids: Vec<_> = (0..rows)
@@ -2888,116 +1900,34 @@ fn mvcc_bench_json(
         .collect();
     eng.commit(seed).expect("commit");
 
-    let mut runs = String::new();
-    for (i, &readers) in reader_counts.iter().enumerate() {
+    let secs = duration_ms as f64 / 1000.0;
+    let mut runs = Vec::new();
+    for &readers in reader_counts {
         let (lr, la, lw) = mvcc_cell(&eng, table, &rids, writers, readers, duration_ms, false);
         let (sr, sa, sw) = mvcc_cell(&eng, table, &rids, writers, readers, duration_ms, true);
-        let secs = duration_ms as f64 / 1000.0;
-        if i > 0 {
-            runs.push(',');
-        }
-        runs.push_str(&format!(
-            "{{\"readers\":{readers},\
-             \"locked_reads\":{lr},\"locked_reads_per_sec\":{:.1},\
-             \"locked_reader_aborts\":{la},\"locked_writes\":{lw},\
-             \"snapshot_reads\":{sr},\"snapshot_reads_per_sec\":{:.1},\
-             \"snapshot_reader_aborts\":{sa},\"snapshot_writes\":{sw}}}",
-            lr as f64 / secs,
-            sr as f64 / secs,
-        ));
+        runs.push(Json::obj([
+            ("readers", readers.into()),
+            ("locked_reads", lr.into()),
+            ("locked_reads_per_sec", (lr as f64 / secs).into()),
+            ("locked_reader_aborts", la.into()),
+            ("locked_writes", lw.into()),
+            ("snapshot_reads", sr.into()),
+            ("snapshot_reads_per_sec", (sr as f64 / secs).into()),
+            ("snapshot_reader_aborts", sa.into()),
+            ("snapshot_writes", sw.into()),
+        ]));
     }
-    let metrics = eng.metrics_snapshot().filtered("mdm_mvcc_").to_json();
-    drop(eng);
-    std::fs::remove_dir_all(&dir).ok();
-    format!(
-        "{{\"bench\":\"mvcc_snapshot_reads\",\"writers\":{writers},\"rows\":{rows},\
-         \"duration_ms\":{duration_ms},\"runs\":[{runs}],\"mvcc_metrics\":{metrics}}}\n"
-    )
-}
-
-/// Validates an `mvcc_bench_json` document: the write load is at least
-/// `min_writers` clients and actually ran in every cell, snapshot reads
-/// meet or beat the locked baseline at every reader count, the snapshot
-/// cells recorded exactly zero reader aborts, and the MVCC metric
-/// snapshot shows the snapshots that were taken.
-fn validate_mvcc_bench_json(doc: &str, min_writers: u64) -> Result<(), String> {
-    use mdm_obs::json::{parse, Value};
-    let v = parse(doc).map_err(|e| e.to_string())?;
-    let writers = v
-        .get("writers")
-        .and_then(Value::as_u64)
-        .ok_or("missing writers")?;
-    if writers < min_writers {
-        return Err(format!(
-            "write load is {writers} clients, need at least {min_writers}"
-        ));
-    }
-    let runs = v
-        .get("runs")
-        .and_then(Value::as_array)
-        .ok_or("missing runs array")?;
-    if runs.is_empty() {
-        return Err("runs array is empty".into());
-    }
-    for run in runs {
-        let readers = run
-            .get("readers")
-            .and_then(Value::as_u64)
-            .ok_or("run is missing readers")?;
-        let num = |key: &str| -> Result<f64, String> {
-            match run.get(key) {
-                Some(Value::Number(n)) => Ok(*n),
-                _ => Err(format!("run is missing {key}")),
-            }
-        };
-        let locked = num("locked_reads_per_sec")?;
-        let snapshot = num("snapshot_reads_per_sec")?;
-        if snapshot < locked {
-            return Err(format!(
-                "{readers}-reader snapshot throughput {snapshot:.1}/s is below \
-                 the 2PL baseline {locked:.1}/s"
-            ));
-        }
-        if run.get("snapshot_reader_aborts").and_then(Value::as_u64) != Some(0) {
-            return Err(format!(
-                "{readers}-reader snapshot cell recorded reader aborts"
-            ));
-        }
-        for key in ["locked_writes", "snapshot_writes"] {
-            if run.get(key).and_then(Value::as_u64).unwrap_or(0) == 0 {
-                return Err(format!(
-                    "{readers}-reader cell has no {key}: write load did not run"
-                ));
-            }
-        }
-    }
-    let metrics = v
-        .get("mvcc_metrics")
-        .and_then(|m| m.get("metrics"))
-        .and_then(Value::as_array)
-        .ok_or("missing mvcc_metrics.metrics array")?;
-    for required in [
-        "mdm_mvcc_snapshots_total",
-        "mdm_mvcc_versions_reclaimed_total",
-        "mdm_mvcc_snapshots_open",
-    ] {
-        if !metrics
-            .iter()
-            .any(|m| m.get("name").and_then(Value::as_str) == Some(required))
-        {
-            return Err(format!("metric {required} missing from snapshot"));
-        }
-    }
-    let taken = metrics
-        .iter()
-        .find(|m| m.get("name").and_then(Value::as_str) == Some("mdm_mvcc_snapshots_total"))
-        .and_then(|m| m.get("value"))
-        .and_then(Value::as_u64)
-        .unwrap_or(0);
-    if taken == 0 {
-        return Err("mdm_mvcc_snapshots_total is zero: snapshot cells never ran".into());
-    }
-    Ok(())
+    Json::obj([
+        ("bench", "mvcc_snapshot_reads".into()),
+        ("writers", writers.into()),
+        ("rows", rows.into()),
+        ("duration_ms", duration_ms.into()),
+        ("runs", Json::Arr(runs)),
+        (
+            "mvcc_metrics",
+            (&eng.metrics_snapshot().filtered("mdm_mvcc_")).into(),
+        ),
+    ])
 }
 
 /// CI smoke for the MVCC read path: a scaled-down validated sweep, then
@@ -3005,13 +1935,13 @@ fn validate_mvcc_bench_json(doc: &str, min_writers: u64) -> Result<(), String> {
 /// rewrites must still read the original row afterwards, and a fresh
 /// snapshot must see the newest commit.
 fn mvcc_smoke() -> Result<String, String> {
-    let started = std::time::Instant::now();
-    let doc = mvcc_bench_json(&[1, 2], 4, 32, 150);
-    validate_mvcc_bench_json(&doc, 4)?;
+    let started = Instant::now();
+    write_document(&mvcc_reads(&[1, 2], 4, 32, 150), |d| {
+        validate::mvcc_reads(d, 4)
+    })?;
 
-    let dir = std::env::temp_dir().join(format!("mdm-mvcc-smoke-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    let eng = mdm_storage::StorageEngine::open_with_capacity(&dir, 128)
+    let dir = ScratchDir::new("mvcc-smoke");
+    let eng = mdm_storage::StorageEngine::open_with_capacity(dir.path(), 128)
         .map_err(|e| format!("open: {e}"))?;
     let t = eng.create_table("t").map_err(|e| format!("table: {e}"))?;
     let mut txn = eng.begin().map_err(|e| format!("begin: {e}"))?;
@@ -3038,13 +1968,37 @@ fn mvcc_smoke() -> Result<String, String> {
     if new.as_deref() != Some(&b"rewrite 19"[..]) {
         return Err(format!("fresh snapshot stale: read {new:?}"));
     }
-    drop(pinned);
-    drop(eng);
-    std::fs::remove_dir_all(&dir).ok();
-
     Ok(format!(
         "mvcc smoke: ok — validated sweep, pinned snapshot stable across 20 rewrites, \
          in {:.2}s",
         started.elapsed().as_secs_f64()
     ))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::COMMANDS;
+
+    /// Every `repro -- <command>` the CI workflow runs must be in the
+    /// dispatch table, so renaming a command fails here instead of in CI.
+    #[test]
+    fn every_ci_repro_command_is_in_the_table() {
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../.github/workflows/ci.yml"
+        );
+        let ci = std::fs::read_to_string(path).expect("read the CI workflow");
+        let invoked: Vec<&str> = ci
+            .split("--bin repro -- ")
+            .skip(1)
+            .filter_map(|rest| rest.split_whitespace().next())
+            .collect();
+        assert!(!invoked.is_empty(), "the CI workflow runs no repro command");
+        for name in invoked {
+            assert!(
+                COMMANDS.iter().any(|c| c.0 == name),
+                "CI runs `repro -- {name}`, which the dispatch table lacks"
+            );
+        }
+    }
 }

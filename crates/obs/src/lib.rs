@@ -9,8 +9,6 @@
 //!   elapsed wall time into a histogram on drop.
 //! * [`registry`] — a [`Registry`] of named, labelled metric handles with
 //!   consistent [`Snapshot`] export as JSON and Prometheus text format.
-//! * [`events`] — [`EventLog`], a bounded ring buffer of timestamped
-//!   diagnostic events (recoveries, checkpoints, DDL).
 //! * [`json`] — a minimal JSON parser used by tests and by the bench
 //!   smoke-mode validator; the exporters in [`registry`] emit JSON this
 //!   parser round-trips.
@@ -43,7 +41,6 @@
 //! assert!(snap.to_prometheus().contains("mdm_pool_hits_total 1"));
 //! ```
 
-pub mod events;
 pub mod json;
 pub mod metrics;
 pub mod monitor;
@@ -52,7 +49,6 @@ pub mod registry;
 pub mod stats;
 pub mod trace;
 
-pub use events::{Event, EventLog};
 pub use metrics::{
     Counter, Gauge, Histogram, SpanTimer, LATENCY_MICROS_BOUNDS, SMALL_COUNT_BOUNDS,
 };
